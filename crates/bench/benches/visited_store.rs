@@ -1,7 +1,7 @@
 //! Micro-benchmark of the tiered visited store behind the out-of-core
 //! frontier engines: rank admission + sealing into the in-memory tier,
 //! membership probes against both tiers (an on-disk hit pays one
-//! positional read to confirm the encoding; a miss stays an O(1) index
+//! positional read to confirm the tuple; a miss stays an O(1) index
 //! lookup), and the sealed-drain → segment-write spill cycle. The
 //! element set is reachable states of the auto-closed
 //! `switchgen --lines 2` application, as in `state_ops`. Writes
@@ -13,7 +13,7 @@ use reclose_bench::{criterion_group, criterion_main};
 use std::collections::HashSet;
 use std::hint::black_box;
 use switchsim::SwitchConfig;
-use verisoft::search::store::{rank, SpillDir, StateStore, TieredStore};
+use verisoft::search::store::{rank, SpillDir, TieredStore};
 use verisoft::state::encode_state;
 use verisoft::{ComponentInterner, Config, ExecCtx, Executor, GlobalState, Scheduled, SuccOutcome};
 
@@ -83,16 +83,19 @@ fn bench(c: &mut Criterion) {
     let config = Config::default();
     let exec = Executor::new(&prog, &config);
     let states = reachable_states(&exec);
+    // The keys the frontier engine stores: fingerprint plus the
+    // collapse-compressed component-ID tuple.
+    let interner = ComponentInterner::new();
     let encs: Vec<(u64, Vec<u8>)> = states
         .iter()
-        .map(|s| (s.fingerprint(), encode_state(s)))
+        .map(|s| s.fingerprint_and_intern(&interner))
         .collect();
     // Present/absent halves for hit/miss probes.
     let (present, absent) = encs.split_at(encs.len() / 2);
     let bytes: usize = encs.iter().map(|(_, e)| e.len()).sum();
     println!(
         "workload: switchgen --lines 2 (auto-closed), {} reachable states, \
-         {:.1} bytes/state encoded",
+         {:.1} bytes/state as tuples",
         states.len(),
         bytes as f64 / states.len() as f64
     );
@@ -155,37 +158,6 @@ fn bench(c: &mut Criterion) {
                 .count()
         })
     });
-
-    // The same probe over collapse-compressed tuples: the positional
-    // confirm reads and memcmps the compact component-ID tuple
-    // instead of the full canonical encoding.
-    let interner = ComponentInterner::new();
-    let cencs: Vec<(u64, Vec<u8>)> = states
-        .iter()
-        .map(|s| s.fingerprint_and_intern(&interner))
-        .collect();
-    let spilled_compressed = {
-        let dir = SpillDir::temp().expect("temp spill dir");
-        let store = TieredStore::new_with(0, Some(dir), true);
-        for (j, (h, e)) in cencs.iter().enumerate() {
-            store.admit(*h, e, rank(j, 0));
-            store.seal_if_winner(*h, e, rank(j, 0), 1);
-        }
-        store.end_of_level().expect("spill to segment");
-        store
-    };
-    g.bench_with_input(
-        BenchmarkId::new("probe_hit_disk_compressed", n),
-        &cencs,
-        |b, cencs| {
-            b.iter(|| {
-                cencs
-                    .iter()
-                    .filter(|(h, e)| spilled_compressed.contains_sealed_before(*h, e, 2))
-                    .count()
-            })
-        },
-    );
 
     // Misses against the spilled store never touch disk: the
     // fingerprint index answers in memory.

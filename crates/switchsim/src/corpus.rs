@@ -11,11 +11,10 @@
 //! 1. **close** the open program via [`closer::Pipeline`];
 //! 2. **explore** the closed program with every engine family —
 //!    sequential DFS, frontier BFS, parallel frontier, stateless (tree)
-//!    search — crossed with POR on/off, `jobs` ∈ {1, 2, 8}, and the
-//!    `--no-compress` / `--scalar-commit` escape hatches;
+//!    search — crossed with POR on/off and `jobs` ∈ {1, 2, 8};
 //! 3. **compare**: reports must be *byte-identical* within a
-//!    deterministic family (frontier engines across jobs and storage
-//!    modes; sharded stateless across jobs), and the *verdict set* —
+//!    deterministic family (frontier engines across jobs; sharded
+//!    stateless across jobs), and the *verdict set* —
 //!    distinct `(kind, process)` pairs — must agree across families and
 //!    reduction modes.
 //!
@@ -616,15 +615,12 @@ pub fn cross_check(
     limits: &OracleLimits,
 ) -> Result<CheckOutcome, String> {
     let mut runs = 0usize;
-    let mut go = |engine: Engine, por: bool, jobs: usize, nc: bool, scalar: bool| -> Report {
+    let mut go = |engine: Engine, por: bool, jobs: usize| -> Report {
         runs += 1;
-        let mut c = base_config(limits, engine, por, jobs);
-        c.no_compress = nc;
-        c.scalar_commit = scalar;
-        explore(prog, &c)
+        explore(prog, &base_config(limits, engine, por, jobs))
     };
 
-    let baseline = go(Engine::Bfs, false, 1, false, false);
+    let baseline = go(Engine::Bfs, false, 1);
     if baseline.truncated {
         return Ok(CheckOutcome::TooBig);
     }
@@ -648,42 +644,31 @@ pub fn cross_check(
 
     // Sequential DFS family: verdict-set equality (traversal order — and
     // therefore the report text — legitimately differs).
-    let dfs = go(Engine::Stateful, false, 1, false, false);
+    let dfs = go(Engine::Stateful, false, 1);
     check_verdicts("stateful dfs", &dfs)?;
-    let dfs_por = go(Engine::Stateful, true, 1, false, false);
+    let dfs_por = go(Engine::Stateful, true, 1);
     check_verdicts("stateful dfs +por", &dfs_por)?;
 
-    // Frontier family, POR off: byte-identical to the BFS baseline for
-    // every worker count and storage mode.
-    for (label, jobs, nc, scalar) in [
-        ("frontier jobs=1", 1, false, false),
-        ("frontier jobs=2", 2, false, false),
-        ("frontier jobs=8", 8, false, false),
-        ("frontier jobs=2 --no-compress", 2, true, false),
-        ("frontier jobs=2 --scalar-commit", 2, false, true),
-    ] {
-        let r = go(Engine::StatefulParallel, false, jobs, nc, scalar);
+    // Frontier family, POR off: byte-identical to the BFS baseline (the
+    // same engine on one worker) for every worker count.
+    for jobs in [2usize, 8] {
+        let r = go(Engine::StatefulParallel, false, jobs);
         let s = r.to_string();
         if s != base_str {
             return Err(format!(
-                "{label}: report not byte-identical to bfs jobs=1\n{label}: {s}\nbfs: {base_str}"
+                "frontier jobs={jobs}: report not byte-identical to bfs jobs=1\n\
+                 got: {s}\nbfs: {base_str}"
             ));
         }
-    }
-    let bfs_nc = go(Engine::Bfs, false, 1, true, false);
-    if bfs_nc.to_string() != base_str {
-        return Err(format!(
-            "bfs --no-compress: report drifted\ngot: {bfs_nc}\nwant: {base_str}"
-        ));
     }
 
     // Frontier family, POR on: byte-identical to BFS+POR across jobs,
     // verdict-equal to the exhaustive baseline.
-    let bfs_por = go(Engine::Bfs, true, 1, false, false);
+    let bfs_por = go(Engine::Bfs, true, 1);
     check_verdicts("bfs +por", &bfs_por)?;
     let base_por_str = bfs_por.to_string();
-    for jobs in [1usize, 2, 8] {
-        let r = go(Engine::StatefulParallel, true, jobs, false, false);
+    for jobs in [2usize, 8] {
+        let r = go(Engine::StatefulParallel, true, jobs);
         let s = r.to_string();
         if s != base_por_str {
             return Err(format!(

@@ -127,7 +127,7 @@ pub struct StatefulExpansion {
     /// POR-skipped processes.
     pub expansion: NodeExpansion,
     /// Per child, aligned with the child list: the successor state's
-    /// stable fingerprint and canonical encoding (`(0, empty)` for
+    /// stable fingerprint and compressed tuple (`(0, empty)` for
     /// violation outcomes; empty arena for dead ends). Computed here so
     /// drivers admit/dedup by comparing bytes without re-encoding.
     pub keys: KeyArena,
@@ -185,12 +185,6 @@ pub struct ExecCtx {
     pub total_components: usize,
     /// Executed-node coverage, when tracking is on.
     pub coverage: Option<Coverage>,
-    /// The run's component interner, when the stateful engines store
-    /// compressed ID tuples; `None` keeps [`ExecCtx::state_key`] on the
-    /// raw canonical encoding (`--no-compress`). The fingerprint half of
-    /// the key is bit-identical either way, so POR, ranks, and reports
-    /// cannot observe the choice.
-    pub interner: Option<std::sync::Arc<crate::state::ComponentInterner>>,
 }
 
 impl ExecCtx {
@@ -209,7 +203,6 @@ impl ExecCtx {
             } else {
                 None
             },
-            interner: None,
         }
     }
 
@@ -226,28 +219,6 @@ impl ExecCtx {
             shared_components: 0,
             total_components: 0,
             coverage,
-            interner: None,
-        }
-    }
-
-    /// The visited-store key for `state`: its fingerprint plus either
-    /// the compressed ID tuple ([`GlobalState::fingerprint_and_intern`])
-    /// or the raw canonical encoding, depending on whether a run
-    /// interner is installed.
-    pub fn state_key(&self, state: &GlobalState) -> (u64, Vec<u8>) {
-        match &self.interner {
-            Some(i) => state.fingerprint_and_intern(i),
-            None => state.fingerprint_and_encode(),
-        }
-    }
-
-    /// [`ExecCtx::state_key`] appending the encoding to a shared arena
-    /// (see [`KeyArena`]) instead of allocating a vector; returns the
-    /// fingerprint.
-    pub fn state_key_into(&self, state: &GlobalState, out: &mut Vec<u8>) -> u64 {
-        match &self.interner {
-            Some(i) => state.fingerprint_and_intern_into(i, out),
-            None => state.fingerprint_and_encode_into(out),
         }
     }
 }
@@ -560,9 +531,13 @@ impl<'a> Executor<'a> {
     /// timing-independent (the sequential engines consult their visited
     /// set, the frontier engine only *sealed* entries, fixed for a whole
     /// round), so reports stay byte-identical for any worker count.
+    ///
+    /// Successor keys are collapse-compressed tuples under `interner`
+    /// ([`GlobalState::fingerprint_and_intern`]).
     pub fn expand_stateful<F: Fn(u64, &[u8]) -> bool>(
         &self,
         cx: &mut ExecCtx,
+        interner: &crate::state::ComponentInterner,
         state: &GlobalState,
         closes_cycle: F,
     ) -> StatefulExpansion {
@@ -574,7 +549,7 @@ impl<'a> Executor<'a> {
                 for (choices, outcome) in self.successors(cx, state, pid) {
                     match &outcome {
                         SuccOutcome::State(s, _) => {
-                            keys.push_with(|out| cx.state_key_into(s, out));
+                            keys.push_with(|out| s.fingerprint_and_intern_into(interner, out));
                         }
                         SuccOutcome::Violation(..) => keys.push_violation(),
                     }

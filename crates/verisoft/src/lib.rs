@@ -64,9 +64,8 @@ pub use interp::{
 pub use por::{enabled_processes, independent, persistent_set, StaticInfo};
 pub use report::{Decision, Report, Violation, ViolationKind};
 pub use search::{
-    driver_for, explore, replay, validate_checkpoint, BfsDriver, Config, Engine, ParallelStateless,
-    SearchDriver, StateStore, StatefulDfs, StatefulParallel, StatelessDfs, TieredStore,
-    VisitedStore,
+    driver_for, explore, replay, validate_checkpoint, Config, Engine, ParallelStateless,
+    SearchDriver, StatefulDfs, StatefulParallel, StatelessDfs, TieredStore, VisitedStore,
 };
 pub use state::{
     decode_state, dynamic_spec, encode_state, spec_daemon, spec_display_name, spec_proc,

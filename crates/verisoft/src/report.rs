@@ -184,11 +184,11 @@ pub struct Report {
     /// construction — a filter is only ever trusted after containment
     /// of every live fingerprint is verified.
     pub prefilter_rebuilds: usize,
-    /// Frontier chunks committed by the stateful engines (operational).
+    /// Frontier chunks committed by the frontier engine (operational).
     pub pipeline_chunks: usize,
-    /// Chunks whose commit overlapped the next chunk's parallel
-    /// expansion under the double-buffered pipeline (operational;
-    /// 0 when pipelining is off or every level fit in one chunk).
+    /// Always 0: the engine commits one chunk at a time and never
+    /// overlaps a commit with the next chunk's expansion. Kept only
+    /// because the `benchmark/` crate reads it.
     pub pipeline_overlapped_chunks: usize,
 }
 

@@ -14,8 +14,9 @@
 //!   explicit-state DFS that stores full visited states (not hashes, so
 //!   no collision unsoundness), used when the state space has cycles or
 //!   when benchmarks need exhaustive state counts.
-//! - [`Engine::Bfs`] ([`BfsDriver`]) — explicit-state breadth-first:
-//!   the first violation reported has a *shortest* reproducing trace.
+//! - [`Engine::Bfs`] — explicit-state breadth-first: the frontier
+//!   engine ([`StatefulParallel`]) on one worker, so the first violation
+//!   reported has a *shortest* reproducing trace.
 //! - [`Engine::Parallel`] ([`ParallelStateless`]) — deterministic
 //!   sharded stateless search: the decision-prefix tree is split into
 //!   shards explored by worker threads — with idle workers *stealing*
@@ -43,9 +44,9 @@ pub mod stateless;
 pub mod store;
 
 pub use parallel::ParallelStateless;
-pub use stateful::{BfsDriver, StatefulDfs, StatefulParallel};
+pub use stateful::{StatefulDfs, StatefulParallel};
 pub use stateless::StatelessDfs;
-pub use store::{StateStore, TieredStore, VisitedStore};
+pub use store::{TieredStore, VisitedStore};
 
 /// Validate a checkpoint directory against the program and configuration
 /// about to resume it (cheap: reads only the manifest prologue). The CLI
@@ -170,25 +171,6 @@ pub struct Config {
     /// deterministically, at an instant where the checkpoint on disk is
     /// complete.
     pub abort_after_checkpoints: Option<usize>,
-    /// Disable collapse-style state compression in the stateful engines
-    /// (escape hatch; compression is on by default). With compression
-    /// the stores hold compact component-ID tuples interned by a
-    /// per-run [`crate::state::ComponentInterner`] instead of full
-    /// canonical encodings; reports are byte-identical either way.
-    /// Unlike `jobs`/`mem_limit`, this flag **is** part of the
-    /// checkpoint config digest — it changes the on-disk record format,
-    /// so resuming a checkpoint across compression modes is rejected.
-    pub no_compress: bool,
-    /// Force the stateful frontier engines onto the scalar reference
-    /// commit path: per-successor store admission inside the workers and
-    /// per-child `seal_if_winner` in the ordered commit, with no batching
-    /// and no chunk pipelining. The batched path is result-equivalent by
-    /// construction (see [`stateful`]); this escape hatch exists so the
-    /// differential oracle tests (and a worried user) can check that
-    /// claim on any workload. Also settable via the
-    /// `RECLOSE_SCALAR_COMMIT=1` environment variable. Excluded from the
-    /// checkpoint config digest — it cannot change any result.
-    pub scalar_commit: bool,
 }
 
 impl Default for Config {
@@ -212,8 +194,6 @@ impl Default for Config {
             checkpoint_every: 32,
             resume: false,
             abort_after_checkpoints: None,
-            no_compress: false,
-            scalar_commit: false,
         }
     }
 }
@@ -248,9 +228,9 @@ pub fn driver_for(engine: Engine) -> Box<dyn SearchDriver> {
     match engine {
         Engine::Stateless => Box::new(StatelessDfs),
         Engine::Stateful => Box::new(StatefulDfs),
-        Engine::Bfs => Box::new(BfsDriver),
+        Engine::Bfs => Box::new(StatefulParallel { jobs: Some(1) }),
         Engine::Parallel => Box::new(ParallelStateless),
-        Engine::StatefulParallel => Box::new(StatefulParallel),
+        Engine::StatefulParallel => Box::new(StatefulParallel { jobs: None }),
     }
 }
 

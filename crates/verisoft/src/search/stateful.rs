@@ -1,9 +1,10 @@
-//! Explicit-state drivers: DFS over stored visited states, the
-//! level-synchronous frontier BFS ([`BfsDriver`]), and the deterministic
-//! parallel frontier engine ([`StatefulParallel`]) backed by the tiered
-//! spillable [`TieredStore`](super::store).
+//! Explicit-state drivers: DFS over stored visited states
+//! ([`StatefulDfs`]) and the deterministic level-synchronous frontier
+//! engine ([`StatefulParallel`]) backed by the tiered spillable
+//! [`TieredStore`](super::store). `Engine::Bfs` is the frontier engine
+//! on one worker.
 //!
-//! All three apply persistent-set partial-order reduction with the
+//! Both apply persistent-set partial-order reduction with the
 //! ignoring/cycle proviso through
 //! [`Executor::expand_stateful`](crate::executor::Executor::expand_stateful):
 //! a state is expanded over its persistent set only, unless one of the
@@ -14,7 +15,10 @@
 //! timing-independent store snapshot, so every report stays
 //! byte-identical for any worker count.
 //!
-//! The frontier engines additionally run **out of core** when
+//! Both store collapse-compressed states: component-ID tuples interned
+//! by a per-run [`ComponentInterner`] (see [`crate::state::intern`]).
+//!
+//! The frontier engine additionally runs **out of core** when
 //! [`Config::mem_limit`](super::Config::mem_limit) is finite: sealed
 //! states spill to disk segments, the frontier spools to disk past its
 //! RAM budget, and each level is processed in bounded-memory *chunks*.
@@ -24,12 +28,12 @@
 //! the engine checkpoints at level boundaries so a killed run can
 //! `--resume` and complete with the identical report.
 
-use super::store::{checkpoint, rank, FrontierSpool, SpillDir, Spoolable, StateStore, TieredStore};
+use super::store::{checkpoint, rank, FrontierSpool, SpillDir, Spoolable, TieredStore};
 use crate::coverage::Coverage;
-use crate::executor::{ExecCtx, Executor, KeyArena, NodeExpansion, SuccOutcome};
+use crate::executor::{ExecCtx, Executor, NodeExpansion, StatefulExpansion, SuccOutcome};
 use crate::report::{Decision, Report, Violation, ViolationKind};
 use crate::state::encode::{put_u64, ByteReader};
-use crate::state::{decode_state, encode_state, ComponentInterner, GlobalState};
+use crate::state::{ComponentInterner, GlobalState};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -93,41 +97,29 @@ impl super::SearchDriver for StatefulDfs {
     }
 }
 
-/// Explicit-state breadth-first search: the first violation reported has
-/// a *shortest* reproducing trace (best for debugging).
+/// Deterministic parallel explicit-state search: the level-synchronous
+/// frontier engine behind both `Engine::StatefulParallel` (on
+/// [`Config::jobs`](super::Config::jobs) workers) and `Engine::Bfs`
+/// (on one worker, so the first violation reported has a *shortest*
+/// reproducing trace).
 ///
-/// Runs the same level-synchronous frontier algorithm as
-/// [`StatefulParallel`] on a single worker, so the two are equal by
-/// construction — including the POR proviso, whose predicate (successor
-/// already *sealed*, i.e. committed in an earlier level) depends only on
-/// the frontier level, never on intra-level processing order.
-pub struct BfsDriver;
-
-impl super::SearchDriver for BfsDriver {
-    fn run(&mut self, exec: &Executor<'_>) -> Report {
-        frontier_search(exec, 1)
-    }
-}
-
-/// Deterministic parallel explicit-state search over
-/// [`Config::jobs`](super::Config::jobs) worker threads.
-///
-/// The engine is level-synchronous breadth-first: each round, workers
-/// expand the frontier's states concurrently (claiming items through an
-/// atomic cursor) and *admit* every successor to the shared
-/// [`VisitedStore`] tagged with its shard-lexicographic discovery rank
-/// `(frontier index, successor index)`. The round then commits
-/// sequentially in rank order: a successor joins the next frontier iff
-/// its rank is the store's winning (minimal) occurrence of that state,
+/// Each round, workers expand the frontier's states concurrently
+/// (claiming items through an atomic cursor) and compute every
+/// successor's key. The round then commits sequentially: each successor
+/// is admitted to the shared [`VisitedStore`](super::VisitedStore)
+/// tagged with its shard-lexicographic discovery rank
+/// `(frontier index, successor index)`, and joins the next frontier iff
+/// its rank is the store's winning (minimal) occurrence of that state —
 /// so the explored set, the violation order, every reproducing trace,
-/// and all counters are byte-identical for any worker count — and
-/// identical to the sequential [`BfsDriver`], which is this engine on
-/// one worker.
-pub struct StatefulParallel;
+/// and all counters are byte-identical for any worker count.
+pub struct StatefulParallel {
+    /// Worker count; `None` takes [`Config::jobs`](super::Config::jobs).
+    pub jobs: Option<usize>,
+}
 
 impl super::SearchDriver for StatefulParallel {
     fn run(&mut self, exec: &Executor<'_>) -> Report {
-        frontier_search(exec, exec.config().jobs.max(1))
+        frontier_search(exec, self.jobs.unwrap_or(exec.config().jobs))
     }
 }
 
@@ -139,29 +131,23 @@ struct FrontierItem {
 }
 
 impl Spoolable for FrontierItem {
-    /// The engine's interner when collapse compression is on: spooled
-    /// states are then stored as component-ID tuples (the memoized
-    /// per-component cache makes re-encoding a pushed state's tuple a
-    /// table lookup, not a re-serialization). The record *length* is a
-    /// pure function of the entry either way, so chunk boundaries stay
-    /// deterministic.
-    type Cx = Option<Arc<ComponentInterner>>;
+    /// The engine's interner: spooled states are stored as component-ID
+    /// tuples (the memoized per-component cache makes re-encoding a
+    /// pushed state's tuple a table lookup, not a re-serialization).
+    type Cx = Arc<ComponentInterner>;
 
-    fn spool_encode(&self, cx: &Self::Cx, out: &mut Vec<u8>) {
+    fn spool_encode(&self, interner: &Self::Cx, out: &mut Vec<u8>) {
         put_u64(out, self.depth as u64);
         let path = self.path.to_vec();
         put_u64(out, path.len() as u64);
         for d in &path {
             checkpoint::put_decision(out, d);
         }
-        // The state's encoding takes the remaining bytes.
-        match cx {
-            Some(interner) => out.extend_from_slice(&self.state.fingerprint_and_intern(interner).1),
-            None => out.extend_from_slice(&encode_state(&self.state)),
-        }
+        // The state's tuple takes the remaining bytes.
+        out.extend_from_slice(&self.state.fingerprint_and_intern(interner).1);
     }
 
-    fn spool_decode(cx: &Self::Cx, bytes: &[u8]) -> Option<Self> {
+    fn spool_decode(interner: &Self::Cx, bytes: &[u8]) -> Option<Self> {
         let mut r = ByteReader::new(bytes);
         let depth = usize::try_from(r.u64()?).ok()?;
         let n = usize::try_from(r.u64()?).ok()?;
@@ -172,39 +158,30 @@ impl Spoolable for FrontierItem {
         for _ in 0..n {
             path = path.push(checkpoint::read_decision(&mut r)?);
         }
-        let state = match cx {
-            Some(interner) => interner.decode_compressed(&bytes[r.pos()..])?,
-            None => decode_state(&bytes[r.pos()..])?,
-        };
+        let state = interner.decode_compressed(&bytes[r.pos()..])?;
         Some(FrontierItem { state, depth, path })
     }
 }
 
-/// A worker's expansion of one frontier item.
+/// A worker's expansion of one frontier item: the children with their
+/// keys (computed worker-side, so the sequential commit only compares
+/// bytes) and the counters folded from the item's [`ExecCtx`] (not the
+/// context itself: chunks hold one of these per item, so it stays small).
 struct Expanded {
-    expansion: NodeExpansion,
-    /// Per child, aligned with the expansion's child list: the state's
-    /// stable fingerprint and canonical encoding (`(0, empty)` for
-    /// violation outcomes), arena-flattened. Computed worker-side so
-    /// the sequential commit only compares bytes.
-    keys: KeyArena,
+    se: StatefulExpansion,
     transitions: usize,
     truncated: bool,
-    /// CoW sharing counters folded from the item's [`ExecCtx`].
     shared_components: usize,
     total_components: usize,
     tosses_taken: usize,
-    /// POR reduction counters from the item's expansion.
-    por_skipped: usize,
-    por_fallback: bool,
 }
 
-/// One worker's batch for a round: the items it expanded (tagged with
-/// their frontier index) plus its private coverage map.
+/// One worker's share of a chunk: the items it expanded (tagged with
+/// their chunk index) plus its private coverage map.
 type WorkerBatch = (Vec<(usize, Expanded)>, Option<Coverage>);
 
-/// The level-synchronous frontier search (`jobs == 1`: the sequential
-/// BFS driver; `jobs > 1`: the parallel engine — same report either way).
+/// The level-synchronous frontier search — the same report for any
+/// `jobs`.
 ///
 /// ## Why chunking (and therefore spilling) cannot change the report
 ///
@@ -217,8 +194,8 @@ type WorkerBatch = (Vec<(usize, Expanded)>, Option<Coverage>);
 ///    offset `base` commits with ranks `rank(base + i, j)` — the exact
 ///    ranks a single-chunk run assigns — and chunk bases are strictly
 ///    increasing, so the level-minimal rank of any state appears in the
-///    earliest chunk that discovers it, where `seal_if_winner` crowns
-///    the same winner the unbounded commit would.
+///    earliest chunk that discovers it, where `seal_batch` crowns the
+///    same winner the unbounded commit would.
 /// 2. **The proviso is epoch-bounded.** Workers probe
 ///    `contains_sealed_before(h, e, level+1)`: entries sealed by
 ///    *earlier chunks of the same level* carry epoch `level+1` and are
@@ -233,28 +210,13 @@ type WorkerBatch = (Vec<(usize, Expanded)>, Option<Coverage>);
 /// for any worker count.
 fn frontier_search(exec: &Executor<'_>, jobs: usize) -> Report {
     let cfg = exec.config();
-    let jobs = jobs.max(1);
     // Never spawn more workers than the host can run: oversubscribed
     // `--jobs` used to create idle threads that only added scheduling
     // noise. The clamp is invisible in the report — worker count never
     // influences results (the determinism argument above).
     let hw = std::thread::available_parallelism().map_or(usize::MAX, |n| n.get());
-    // Commit-path selection. `scalar_commit` forces the historical
-    // reference path (per-successor admits in the workers, per-child
-    // seals in the commit loop); the batched path is the default and is
-    // result-identical by construction — the differential oracle tests
-    // flip this switch to check exactly that. Pipelining (expanding
-    // chunk c+1 while chunk c commits) requires the batched path: only
-    // deferred admits make a discarded prefetch side-effect-free.
-    let scalar_commit =
-        cfg.scalar_commit || std::env::var("RECLOSE_SCALAR_COMMIT").is_ok_and(|v| v == "1");
-    let pipeline = match std::env::var("RECLOSE_PIPELINE").ok().as_deref() {
-        Some("0") => false,
-        Some("1") => true,
-        _ => !scalar_commit && hw >= 2,
-    };
+    let jobs = jobs.min(hw).max(1);
     let mut chunks_committed = 0usize;
-    let mut chunks_overlapped = 0usize;
     let checkpointing = cfg.checkpoint_dir.is_some();
     assert!(
         !(checkpointing && cfg.track_coverage),
@@ -275,14 +237,13 @@ fn frontier_search(exec: &Executor<'_>, jobs: usize) -> Report {
         ((m / 2).max(1), (m / 4).max(1), (m / 4).max(1))
     };
     // The per-run component interner behind collapse compression: every
-    // store/spool/checkpoint record becomes a compact varint tuple of dense
+    // store/spool/checkpoint record is a compact varint tuple of dense
     // component IDs. IDs are assignment-order-dependent (and so may vary
     // with worker timing), which is harmless — they never appear in a
     // report, and checkpoints persist the assignment so resumed tuples
     // keep meaning the same states.
-    let interner: Option<Arc<ComponentInterner>> =
-        (!cfg.no_compress).then(|| Arc::new(ComponentInterner::new()));
-    let store = TieredStore::new_with(store_budget, dir.clone(), interner.is_some());
+    let interner = Arc::new(ComponentInterner::new());
+    let store = TieredStore::new(store_budget, dir.clone());
     let every = if cfg.checkpoint_every == 0 {
         32
     } else {
@@ -314,7 +275,6 @@ fn frontier_search(exec: &Executor<'_>, jobs: usize) -> Report {
             config_digest,
             &store,
             &interner,
-            interner.as_deref(),
         )
         .unwrap_or_else(|e| panic!("resume failed: {e}"));
         level = r.level;
@@ -328,10 +288,7 @@ fn frontier_search(exec: &Executor<'_>, jobs: usize) -> Report {
     } else {
         frontier = FrontierSpool::new(spool_budget, dir.clone(), 0, interner.clone());
         let init = exec.initial();
-        let (h0, enc0) = match &interner {
-            Some(i) => init.fingerprint_and_intern(i),
-            None => init.fingerprint_and_encode(),
-        };
+        let (h0, enc0) = init.fingerprint_and_intern(&interner);
         store.admit(h0, &enc0, rank(0, 0));
         store.seal(h0, &enc0, 0);
         report.states = 1;
@@ -364,7 +321,7 @@ fn frontier_search(exec: &Executor<'_>, jobs: usize) -> Report {
                 &report,
                 checkpoints + 1,
                 (program_hash, config_digest),
-                (&store, interner.as_deref()),
+                (&store, &interner),
                 &mut frontier,
             )
             .expect("write checkpoint");
@@ -401,220 +358,31 @@ fn frontier_search(exec: &Executor<'_>, jobs: usize) -> Report {
             interner.clone(),
         );
         let mut base = 0usize; // frontier offset of the current chunk
-
-        // One chunk's parallel expansion. On the batched path this has
-        // **no store writes at all**: successors are only admitted by
-        // the sequential phase below, after the previous chunk's commit
-        // completed without a stop cut. That deferral is what makes
-        // pipelining safe — a chunk expanded ahead of time and then
-        // discarded leaves zero trace in the store (interner ID
-        // assignments aside, which are documented timing-dependent and
-        // report-invisible). Scalar mode keeps the historical inline
-        // admits for the differential oracle.
-        let expand_chunk = |chunk: &[FrontierItem], chunk_base: usize| {
-            let n = chunk.len();
-            let cursor = AtomicUsize::new(0);
-            let workers = jobs.min(n).min(hw).max(1);
-            let mut slots: Vec<Option<Expanded>> = (0..n).map(|_| None).collect();
-            let mut chunk_cov: Option<Coverage> = None;
-            let per_worker: Vec<WorkerBatch> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let (store, cursor) = (&store, &cursor);
-                        let interner = &interner;
-                        scope.spawn(move || {
-                            let mut out = Vec::new();
-                            let mut cov = cfg.track_coverage.then(|| Coverage::new(exec.program()));
-                            loop {
-                                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                                if i >= n {
-                                    break;
-                                }
-                                let mut cx = ExecCtx::with_coverage(remaining, cov.take());
-                                cx.interner = interner.clone();
-                                let se = exec.expand_stateful(&mut cx, &chunk[i].state, |h, e| {
-                                    store.contains_sealed_before(h, e, epoch)
-                                });
-                                if scalar_commit {
-                                    for (j, (h, enc)) in se.keys.iter().enumerate() {
-                                        if !enc.is_empty() {
-                                            store.admit(h, enc, rank(chunk_base + i, j));
-                                        }
-                                    }
-                                }
-                                cov = cx.coverage.take();
-                                out.push((
-                                    i,
-                                    Expanded {
-                                        expansion: se.expansion,
-                                        keys: se.keys,
-                                        transitions: cx.transitions,
-                                        truncated: cx.truncated,
-                                        shared_components: cx.shared_components,
-                                        total_components: cx.total_components,
-                                        tosses_taken: cx.tosses_taken,
-                                        por_skipped: se.por_skipped,
-                                        por_fallback: se.por_fallback,
-                                    },
-                                ));
-                            }
-                            (out, cov)
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            });
-            for (out, cov) in per_worker {
-                for (i, e) in out {
-                    slots[i] = Some(e);
-                }
-                if let Some(theirs) = cov {
-                    match &mut chunk_cov {
-                        Some(mine) => mine.merge(&theirs),
-                        None => chunk_cov = Some(theirs),
-                    }
-                }
-            }
-            (slots, chunk_cov)
-        };
-
-        // The chunk loop, double-buffered: while the main thread commits
-        // chunk c, the workers may already be expanding chunk c+1
-        // (`pending`). Determinism is untouched because everything an
-        // expansion reads is frozen for the whole level — the per-item
-        // budget is the level-start remainder, and the proviso probe is
-        // bounded by this level's epoch, a set this level's own seals
-        // can never enter. Pipelining stays within the level: the next
-        // chunk only exists once this level's spool has it.
-        type PendingChunk = (Vec<FrontierItem>, Vec<Option<Expanded>>, Option<Coverage>);
-        let mut pending: Option<PendingChunk> = None;
-        loop {
-            let (chunk, slots, chunk_cov) = match pending.take() {
-                Some(p) => p,
-                None => {
-                    let Some(chunk) = frontier
-                        .next_chunk(chunk_budget)
-                        .expect("read frontier spool")
-                    else {
-                        break;
-                    };
-                    let (slots, cov) = expand_chunk(&chunk, base);
-                    (chunk, slots, cov)
-                }
-            };
-            if stop {
-                // A prefetched chunk is discarded here with zero store
-                // side effects: its admits never happened.
+        while !stop {
+            let Some(chunk) = frontier
+                .next_chunk(chunk_budget)
+                .expect("read frontier spool")
+            else {
                 break;
-            }
-            let n = chunk.len();
-            chunks_committed += 1;
-
-            // Sequential batched admission (the scalar path admitted
-            // inline in the workers): every successor of the chunk in
-            // one store call, grouped by stripe. Arrival order within
-            // the batch is immaterial — admission keeps the minimum
-            // rank — so this equals the scalar admits exactly.
-            if !scalar_commit {
-                let cap: usize = slots
-                    .iter()
-                    .map(|s| s.as_ref().map_or(0, |e| e.keys.len()))
-                    .sum();
-                let mut admits: Vec<(u64, u64, &[u8])> = Vec::with_capacity(cap);
-                for (i, slot) in slots.iter().enumerate() {
-                    let e = slot.as_ref().expect("every frontier item is expanded");
-                    for (j, (h, enc)) in e.keys.iter().enumerate() {
-                        if !enc.is_empty() {
-                            admits.push((h, rank(base + i, j), enc));
-                        }
-                    }
-                }
-                store.insert_batch(&mut admits);
-            }
+            };
+            let (expanded, chunk_cov) =
+                expand_chunk(exec, &chunk, jobs, remaining, epoch, &store, &interner);
             if let (Some(mine), Some(theirs)) = (&mut coverage, chunk_cov.as_ref()) {
                 mine.merge(theirs);
             }
-
-            // Winner flags for the whole chunk in one batched pre-pass.
-            // Valid because winners are final once the chunk's admits
-            // are in: every rank that could beat a stored one was
-            // admitted by this or an earlier chunk (later chunks only
-            // carry larger ranks), and at most one probe per state holds
-            // the stored minimum, so per-stripe batching cannot change
-            // any verdict. Flags past a stop cut are simply never read;
-            // the extra seals they performed are report-invisible (seals
-            // only gate spill contents and later-level probes, and the
-            // run is stopping). Scalar mode seals per child instead.
-            let flags: Vec<bool> = if scalar_commit {
-                Vec::new()
-            } else {
-                let cap: usize = slots
-                    .iter()
-                    .map(|s| s.as_ref().map_or(0, |e| e.keys.len()))
-                    .sum();
-                let mut probes: Vec<(u64, u64, &[u8])> = Vec::with_capacity(cap);
-                for (i, slot) in slots.iter().enumerate() {
-                    let e = slot.as_ref().expect("every frontier item is expanded");
-                    if let NodeExpansion::Children(cs) = &e.expansion {
-                        for (j, c) in cs.iter().enumerate() {
-                            if matches!(c.outcome, SuccOutcome::State(..)) {
-                                let (h, enc) = e.keys.get(j);
-                                probes.push((h, rank(base + i, j), enc));
-                            }
-                        }
-                    }
-                }
-                store.seal_batch(&probes, epoch)
-            };
-
-            // Commit this chunk — overlapped with the next chunk's
-            // expansion when pipelining is on and the level has one.
-            let next_chunk = if pipeline {
-                frontier
-                    .next_chunk(chunk_budget)
-                    .expect("read frontier spool")
-            } else {
-                None
-            };
-            match next_chunk {
-                Some(nc) => {
-                    let prefetched = std::thread::scope(|scope| {
-                        let handle = scope.spawn(|| expand_chunk(&nc, base + n));
-                        commit_chunk(
-                            &chunk,
-                            slots,
-                            &flags,
-                            base,
-                            epoch,
-                            scalar_commit,
-                            cfg,
-                            &store,
-                            &mut report,
-                            &mut next,
-                            &mut stop,
-                        );
-                        handle.join().unwrap()
-                    });
-                    chunks_overlapped += 1;
-                    pending = Some((nc, prefetched.0, prefetched.1));
-                }
-                None => {
-                    commit_chunk(
-                        &chunk,
-                        slots,
-                        &flags,
-                        base,
-                        epoch,
-                        scalar_commit,
-                        cfg,
-                        &store,
-                        &mut report,
-                        &mut next,
-                        &mut stop,
-                    );
-                }
-            }
-            base += n;
+            commit_chunk(
+                &chunk,
+                expanded,
+                base,
+                epoch,
+                cfg,
+                &store,
+                &mut report,
+                &mut next,
+                &mut stop,
+            );
+            chunks_committed += 1;
+            base += chunk.len();
         }
         report.frontier_spilled_entries += next.spooled();
         frontier = next;
@@ -631,13 +399,12 @@ fn frontier_search(exec: &Executor<'_>, jobs: usize) -> Report {
     report.checkpoints_written = checkpoints;
     report.store_stored_bytes = store.stored_bytes();
     report.store_segments_compacted = store.segments_compacted();
-    report.interner_entries = interner.as_ref().map_or(0, |i| i.len());
-    report.interner_bytes = interner.as_ref().map_or(0, |i| i.bytes());
-    // Batched-commit-path observability (also operational): how much the
-    // batch grouping and the tier-1 prefilter actually saved, and how
-    // often the pipeline found a chunk to overlap.
+    report.interner_entries = interner.len();
+    report.interner_bytes = interner.bytes();
+    // Batched-commit observability (also operational): how much the
+    // batch grouping and the tier-1 prefilter actually saved.
     let (m_ops, m_items, m_avoided) = store.batch_stats();
-    let (i_ops, i_items, i_avoided) = interner.as_ref().map_or((0, 0, 0), |i| i.batch_stats());
+    let (i_ops, i_items, i_avoided) = interner.batch_stats();
     report.store_batch_ops = m_ops + i_ops;
     report.store_batch_items = m_items + i_items;
     report.store_lock_acquisitions_avoided = m_avoided + i_avoided;
@@ -646,48 +413,150 @@ fn frontier_search(exec: &Executor<'_>, jobs: usize) -> Report {
     report.prefilter_hits = pf_hits;
     report.prefilter_rebuilds = pf_rebuilds;
     report.pipeline_chunks = chunks_committed;
-    report.pipeline_overlapped_chunks = chunks_overlapped;
     report
 }
 
-/// The sequential ordered commit of one expanded chunk: fold items in
-/// rank order; only winning occurrences enter the next frontier, and the
-/// violation cap cuts at the same rank for every worker count. On the
-/// batched path the winner verdicts were precomputed by
-/// [`TieredStore::seal_batch`] into `flags`, consumed here in the same
-/// child order they were built in (`flags` is empty — and unread — in
-/// scalar mode, which seals per child instead). Extracted from
-/// [`frontier_search`] so the pipeline can run it on the main thread
-/// while a scoped worker expands the next chunk.
+/// One chunk's parallel expansion, returned in frontier order with the
+/// workers' merged coverage. Workers only *read* the store (the
+/// epoch-bounded proviso probe); every store write happens in the
+/// sequential [`commit_chunk`].
+fn expand_chunk(
+    exec: &Executor<'_>,
+    chunk: &[FrontierItem],
+    jobs: usize,
+    remaining: usize,
+    epoch: u32,
+    store: &TieredStore,
+    interner: &ComponentInterner,
+) -> (Vec<Expanded>, Option<Coverage>) {
+    let cfg = exec.config();
+    let n = chunk.len();
+    let cursor = AtomicUsize::new(0);
+    let workers = jobs.min(n).max(1);
+    let per_worker: Vec<WorkerBatch> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                let cursor = &cursor;
+                scope.spawn(move || {
+                    let mut out = Vec::new();
+                    let mut cov = cfg.track_coverage.then(|| Coverage::new(exec.program()));
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        let mut cx = ExecCtx::with_coverage(remaining, cov.take());
+                        let se =
+                            exec.expand_stateful(&mut cx, interner, &chunk[i].state, |h, e| {
+                                store.contains_sealed_before(h, e, epoch)
+                            });
+                        cov = cx.coverage.take();
+                        out.push((
+                            i,
+                            Expanded {
+                                se,
+                                transitions: cx.transitions,
+                                truncated: cx.truncated,
+                                shared_components: cx.shared_components,
+                                total_components: cx.total_components,
+                                tosses_taken: cx.tosses_taken,
+                            },
+                        ));
+                    }
+                    (out, cov)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let mut slots: Vec<Option<Expanded>> = (0..n).map(|_| None).collect();
+    let mut chunk_cov: Option<Coverage> = None;
+    for (out, cov) in per_worker {
+        for (i, e) in out {
+            slots[i] = Some(e);
+        }
+        if let Some(theirs) = cov {
+            match &mut chunk_cov {
+                Some(mine) => mine.merge(&theirs),
+                None => chunk_cov = Some(theirs),
+            }
+        }
+    }
+    let expanded = slots
+        .into_iter()
+        .map(|e| e.expect("every frontier item is expanded"))
+        .collect();
+    (expanded, chunk_cov)
+}
+
+/// The sequential commit of one expanded chunk, in three steps:
+///
+/// 1. **Admit** every successor of the chunk in one
+///    [`TieredStore::insert_batch`] call, grouped by stripe. Arrival
+///    order within the batch is immaterial — admission keeps the minimum
+///    rank per state.
+/// 2. **Seal** the winners in one [`TieredStore::seal_batch`] pre-pass.
+///    Winners are final once the chunk's admits are in: every rank that
+///    could beat a stored one was admitted by this or an earlier chunk
+///    (later chunks only carry larger ranks), and at most one probe per
+///    state holds the stored minimum, so per-stripe batching cannot
+///    change any verdict. Flags past a stop cut are never read; the
+///    extra seals they performed are report-invisible (seals only gate
+///    spill contents and later-level probes, and the run is stopping).
+/// 3. **Fold** the items in rank order: only winning occurrences enter
+///    the next frontier, and the violation cap cuts at the same rank
+///    for every worker count.
 #[allow(clippy::too_many_arguments)]
 fn commit_chunk(
     chunk: &[FrontierItem],
-    slots: Vec<Option<Expanded>>,
-    flags: &[bool],
+    expanded: Vec<Expanded>,
     base: usize,
     epoch: u32,
-    scalar_commit: bool,
     cfg: &super::Config,
     store: &TieredStore,
     report: &mut Report,
     next: &mut FrontierSpool<FrontierItem>,
     stop: &mut bool,
 ) {
-    let mut fx = 0usize; // running index into `flags`, one per State child
-    for (i, slot) in slots.into_iter().enumerate() {
+    let cap: usize = expanded.iter().map(|e| e.se.keys.len()).sum();
+    let mut admits: Vec<(u64, u64, &[u8])> = Vec::with_capacity(cap);
+    for (i, e) in expanded.iter().enumerate() {
+        for (j, (h, enc)) in e.se.keys.iter().enumerate() {
+            if !enc.is_empty() {
+                admits.push((h, rank(base + i, j), enc));
+            }
+        }
+    }
+    store.insert_batch(&mut admits);
+    // Freed before the probes are built: one chunk-sized list at a
+    // time. The probes go in commit order, one per State child, which
+    // is the order the fold below reads the verdicts back in.
+    drop(admits);
+    let mut probes: Vec<(u64, u64, &[u8])> = Vec::with_capacity(cap);
+    for (i, e) in expanded.iter().enumerate() {
+        if let NodeExpansion::Children(cs) = &e.se.expansion {
+            for (j, c) in cs.iter().enumerate() {
+                if matches!(c.outcome, SuccOutcome::State(..)) {
+                    let (h, enc) = e.se.keys.get(j);
+                    probes.push((h, rank(base + i, j), enc));
+                }
+            }
+        }
+    }
+    let mut won = store.seal_batch(&probes, epoch).into_iter();
+    for (item, e) in chunk.iter().zip(expanded) {
         if *stop {
             break;
         }
-        let item = &chunk[i];
-        let e = slot.expect("every frontier item is expanded");
+        let se = e.se;
         report.transitions += e.transitions;
         report.truncated |= e.truncated;
         report.shared_components += e.shared_components;
         report.total_components += e.total_components;
         report.tosses_taken += e.tosses_taken;
-        report.por_skipped_procs += e.por_skipped;
-        report.por_proviso_fallbacks += e.por_fallback as usize;
-        match e.expansion {
+        report.por_skipped_procs += se.por_skipped;
+        report.por_proviso_fallbacks += se.por_fallback as usize;
+        match se.expansion {
             NodeExpansion::DeadEnd { deadlock } => {
                 if deadlock {
                     report.violations.push(Violation {
@@ -709,21 +578,13 @@ fn commit_chunk(
                     };
                     match c.outcome {
                         SuccOutcome::State(s, _) => {
-                            let (h, enc) = e.keys.get(j);
-                            let won = if scalar_commit {
-                                store.seal_if_winner(h, enc, rank(base + i, j), epoch)
-                            } else {
-                                let f = flags[fx];
-                                fx += 1;
-                                f
-                            };
-                            if won {
+                            if won.next().expect("one seal verdict per State child") {
                                 report.states += 1;
                                 report.max_depth_seen = report.max_depth_seen.max(item.depth + 1);
                                 if item.depth + 1 >= cfg.max_depth {
                                     report.truncated = true;
                                 } else {
-                                    let cost = enc.len();
+                                    let cost = se.keys.get(j).1.len();
                                     let fi = FrontierItem {
                                         state: *s,
                                         depth: item.depth + 1,
@@ -754,10 +615,8 @@ fn commit_chunk(
 /// it is fully expanded and no enabled process is ignored forever.
 fn stateful_dfs(exec: &Executor<'_>) -> Report {
     let cfg = exec.config();
-    let interner: Option<Arc<ComponentInterner>> =
-        (!cfg.no_compress).then(|| Arc::new(ComponentInterner::new()));
+    let interner = ComponentInterner::new();
     let mut cx = ExecCtx::new(exec, cfg.max_transitions);
-    cx.interner = interner.clone();
     let mut report = Report::default();
     let mut stop = false;
     let record = |report: &mut Report,
@@ -774,19 +633,19 @@ fn stateful_dfs(exec: &Executor<'_>) -> Report {
             *stop = true;
         }
     };
-    // The visited set: canonical encodings bucketed by the (cheap,
+    // The visited set: compressed tuples bucketed by the (cheap,
     // incrementally combined) fingerprint; membership compares bytes,
     // per the collision-safety rule in [`crate::state::encode`]. Keyed
     // by an already-mixed fingerprint, so the pass-through hasher
     // applies here too.
     let mut visited: HashMap<u64, Vec<Box<[u8]>>, crate::hash::FpBuildHasher> = HashMap::default();
     // Work items carry their depth, (persistent) reproducing path, and
-    // the state's fingerprint + canonical encoding — computed once at
+    // the state's fingerprint + compressed tuple — computed once at
     // discovery (`expand_stateful` needs them for the proviso anyway)
     // and reused for the pop-time dedup instead of re-encoding.
     type DfsItem = (GlobalState, usize, Trace, u64, Box<[u8]>);
     let init = exec.initial();
-    let (h0, e0) = cx.state_key(&init);
+    let (h0, e0) = init.fingerprint_and_intern(&interner);
     let mut stack: Vec<DfsItem> = vec![(init, 0, Trace::default(), h0, e0.into_boxed_slice())];
     let mut stored_bytes = 0usize;
     while let Some((state, depth, path, fp, enc)) = stack.pop() {
@@ -797,13 +656,10 @@ fn stateful_dfs(exec: &Executor<'_>) -> Report {
         if bucket.iter().any(|e| **e == *enc) {
             continue;
         }
-        // `visited_bytes` is the *raw* logical total either way — a
-        // compressed entry carries its raw length in the tuple prefix —
-        // so the report is byte-identical across compression modes.
-        report.visited_bytes += match &interner {
-            Some(_) => crate::state::intern::raw_len_of(&enc).expect("compressed tuple prefix"),
-            None => enc.len(),
-        };
+        // `visited_bytes` is the *raw* logical total: a tuple carries
+        // the raw encoding length in its prefix.
+        report.visited_bytes +=
+            crate::state::intern::raw_len_of(&enc).expect("compressed tuple prefix");
         stored_bytes += enc.len();
         report.visited_states += 1;
         bucket.push(enc);
@@ -813,7 +669,7 @@ fn stateful_dfs(exec: &Executor<'_>) -> Report {
             report.truncated = true;
             continue;
         }
-        let se = exec.expand_stateful(&mut cx, &state, |h, e| {
+        let se = exec.expand_stateful(&mut cx, &interner, &state, |h, e| {
             visited.get(&h).is_some_and(|b| b.iter().any(|x| **x == *e))
         });
         report.por_skipped_procs += se.por_skipped;
@@ -858,7 +714,7 @@ fn stateful_dfs(exec: &Executor<'_>) -> Report {
     report.tosses_taken = cx.tosses_taken;
     report.coverage = cx.coverage;
     report.store_stored_bytes = stored_bytes;
-    report.interner_entries = interner.as_ref().map_or(0, |i| i.len());
-    report.interner_bytes = interner.as_ref().map_or(0, |i| i.bytes());
+    report.interner_entries = interner.len();
+    report.interner_bytes = interner.bytes();
     report
 }

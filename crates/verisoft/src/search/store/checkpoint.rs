@@ -38,9 +38,11 @@ use crate::state::encode::{
     check_header, put_header, put_record, put_u64, read_record, ByteReader, CHECKPOINT_MAGIC,
     SEGMENT_MAGIC, SPOOL_MAGIC,
 };
+use crate::state::ComponentInterner;
 use std::fs::File;
 use std::io::{self, Read, Write};
 use std::path::Path;
+use std::sync::Arc;
 
 /// The manifest file name inside a checkpoint directory.
 pub const MANIFEST: &str = "checkpoint.bin";
@@ -49,12 +51,9 @@ pub const MANIFEST: &str = "checkpoint.bin";
 /// space. `jobs`, `mem_limit`, `shard_target`, and the checkpoint knobs
 /// themselves are excluded: they are determinism-invariant by
 /// construction, so resuming under different values is sound.
-/// `no_compress` is *included* even though it is report-invariant too —
-/// it changes the on-disk record format (ID tuples vs raw encodings),
-/// so a checkpoint must not be resumed across compression modes.
 pub(crate) fn config_digest(cfg: &crate::search::Config) -> u64 {
     let s = format!(
-        "{:?}|{:?}|{}|{}|{}|{}|{}|{}|{}|{}",
+        "{:?}|{:?}|{}|{}|{}|{}|{}|{}|{}",
         cfg.env_mode,
         cfg.limits,
         cfg.max_depth,
@@ -64,7 +63,6 @@ pub(crate) fn config_digest(cfg: &crate::search::Config) -> u64 {
         cfg.strict_termination_deadlock,
         cfg.collect_traces,
         cfg.track_coverage,
-        cfg.no_compress,
     );
     crate::hash::stable_hash_bytes(s.as_bytes())
 }
@@ -225,7 +223,7 @@ pub(crate) fn write<T: Spoolable>(
     report: &Report,
     checkpoints_written: usize,
     (program_hash, config_digest): (u64, u64),
-    (store, interner): (&TieredStore, Option<&crate::state::ComponentInterner>),
+    (store, interner): (&TieredStore, &ComponentInterner),
     frontier: &mut FrontierSpool<T>,
 ) -> io::Result<()> {
     // 0. Merge small segments before snapshotting their metadata: the
@@ -251,14 +249,11 @@ pub(crate) fn write<T: Spoolable>(
     buf.extend_from_slice(&fsnap);
     write_sync(&dir.join(format!("frontier-{level}.bin")), &buf)?;
 
-    // 2b. The component interner table the compressed records refer
-    // into — appended incrementally and synced before the manifest
-    // records its committed length, so resume reconstructs exactly the
-    // per-run ID assignment the stored tuples were built under.
-    let (ientries, ibytes) = match interner {
-        Some(i) => i.persist(&dir.join(INTERN_FILE))?,
-        None => (0, 0),
-    };
+    // 2b. The component interner table the stored tuples refer into —
+    // appended incrementally and synced before the manifest records its
+    // committed length, so resume reconstructs exactly the per-run ID
+    // assignment the stored tuples were built under.
+    let (ientries, ibytes) = interner.persist(&dir.join(INTERN_FILE))?;
 
     // 2c. Per-segment Bloom prefilters (`seg-<id>.bloom`) — an advisory
     // cache, written after the data they mirror but deliberately *not*
@@ -375,19 +370,16 @@ pub fn validate(dir: &Path, program_hash: u64, digest: u64) -> Result<(), String
     Ok(())
 }
 
-/// Load a checkpoint: rebuild the store's tiers (and the component
-/// interner, when compression is on) and return the level, report, and
-/// frontier to continue from. `cx` is the spool decode context — the
-/// same `Option<Arc<ComponentInterner>>` the engine runs with, which
-/// must wrap `interner` itself so the decoded frontier and the future
-/// interning agree on IDs.
-pub(crate) fn resume<T: Spoolable>(
+/// Load a checkpoint: rebuild the store's tiers and the component
+/// interner, and return the level, report, and frontier to continue
+/// from. The frontier decodes through the same interner, so the decoded
+/// frontier and the future interning agree on IDs.
+pub(crate) fn resume<T: Spoolable<Cx = Arc<ComponentInterner>>>(
     dir: &Path,
     program_hash: u64,
     digest: u64,
     store: &TieredStore,
-    cx: &T::Cx,
-    interner: Option<&crate::state::ComponentInterner>,
+    interner: &Arc<ComponentInterner>,
 ) -> Result<Resumed<T>, String> {
     validate(dir, program_hash, digest)?;
     let buf = read_file(&dir.join(MANIFEST))?;
@@ -419,22 +411,9 @@ pub(crate) fn resume<T: Spoolable>(
     // The interner table first: the stored records are ID tuples into
     // it, and re-interning it in record order reproduces the exact
     // per-run assignment they were written under.
-    match interner {
-        Some(i) => i
-            .load(&dir.join(INTERN_FILE), ientries, ibytes)
-            .map_err(|e| format!("{}: {e}", dir.join(INTERN_FILE).display()))?,
-        None => {
-            // The config digest already pins the compression mode; a
-            // nonzero table here means a hand-edited manifest.
-            if ientries != 0 {
-                return Err(format!(
-                    "{}: manifest references an interner table but \
-                     compression is off",
-                    dir.display()
-                ));
-            }
-        }
-    }
+    interner
+        .load(&dir.join(INTERN_FILE), ientries, ibytes)
+        .map_err(|e| format!("{}: {e}", dir.join(INTERN_FILE).display()))?;
 
     // Sealed segments: scan and index.
     for (id, byte_len, entries) in segs {
@@ -478,7 +457,7 @@ pub(crate) fn resume<T: Spoolable>(
         return Err(format!("{}: bad header", f_path.display()));
     }
     let rest = &fbuf[fr.pos()..];
-    let frontier = FrontierSpool::<T>::decode_snapshot(cx, rest, fcount)
+    let frontier = FrontierSpool::<T>::decode_snapshot(interner, rest, fcount)
         .ok_or_else(|| format!("{}: torn frontier snapshot", f_path.display()))?;
 
     Ok(Resumed {

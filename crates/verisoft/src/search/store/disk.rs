@@ -1,4 +1,4 @@
-//! Tier 1: append-only on-disk segments of canonical state encodings.
+//! Tier 1: append-only on-disk segments of compressed state tuples.
 //!
 //! A segment is written exactly once — when the tiered store drains its
 //! sealed entries past the memory budget (or a checkpoint reloads one)
@@ -37,12 +37,10 @@ pub struct DiskRef {
     pub seg: u32,
     /// Byte offset of the encoding within the segment file.
     pub off: u64,
-    /// Stored record length in bytes (the compressed tuple's length
-    /// when the store compresses).
+    /// Stored record length in bytes (the compressed tuple's length).
     pub len: u32,
-    /// The state's *raw* canonical-encoding length — equal to `len`
-    /// when the store is uncompressed; decoded from the tuple's prefix
-    /// otherwise. Keeps `Report::visited_bytes` a logical total
+    /// The state's *raw* canonical-encoding length, decoded from the
+    /// tuple's prefix. Keeps `Report::visited_bytes` a logical total
     /// independent of the stored representation.
     pub raw: u32,
     /// Frontier level the state was sealed in.
@@ -71,9 +69,6 @@ struct Segment {
 /// *other* segments), only the retired slot's refs get remapped.
 pub(crate) struct SegmentStore {
     dir: Arc<SpillDir>,
-    /// Whether records are compressed ID tuples (decides how a record's
-    /// raw length is derived).
-    compressed: bool,
     segs: RwLock<Vec<Option<Segment>>>,
     /// Serializes positional reads on non-unix hosts (see [`pread`]).
     #[allow(dead_code)]
@@ -96,10 +91,9 @@ fn pread(store: &SegmentStore, f: &File, buf: &mut [u8], off: u64) -> io::Result
 }
 
 impl SegmentStore {
-    pub(crate) fn new(dir: Arc<SpillDir>, compressed: bool) -> Self {
+    pub(crate) fn new(dir: Arc<SpillDir>) -> Self {
         SegmentStore {
             dir,
-            compressed,
             segs: RwLock::new(Vec::new()),
             read_lock: Mutex::new(()),
         }
@@ -109,13 +103,9 @@ impl SegmentStore {
         self.dir.path().join(format!("seg-{id}.bin"))
     }
 
-    /// The raw canonical-encoding length a stored record stands for.
-    fn raw_of(&self, enc: &[u8]) -> u32 {
-        if self.compressed {
-            crate::state::intern::raw_len_of(enc).expect("compressed tuple prefix") as u32
-        } else {
-            enc.len() as u32
-        }
+    /// The raw canonical-encoding length a stored tuple stands for.
+    fn raw_of(enc: &[u8]) -> u32 {
+        crate::state::intern::raw_len_of(enc).expect("compressed tuple prefix") as u32
     }
 
     /// Write `records` (`(fingerprint, epoch, enc)` triples, already in
@@ -141,7 +131,7 @@ impl SegmentStore {
                     seg: id,
                     off,
                     len: enc.len() as u32,
-                    raw: self.raw_of(enc),
+                    raw: Self::raw_of(enc),
                     epoch: *epoch,
                 },
             ));
@@ -214,7 +204,7 @@ impl SegmentStore {
                     seg: id,
                     off: off as u64,
                     len: enc.len() as u32,
-                    raw: self.raw_of(enc),
+                    raw: Self::raw_of(enc),
                     epoch,
                 },
             ));
@@ -291,7 +281,7 @@ impl SegmentStore {
                         seg: new_id,
                         off,
                         len: enc.len() as u32,
-                        raw: self.raw_of(enc),
+                        raw: Self::raw_of(enc),
                         epoch,
                     },
                 ));
@@ -354,14 +344,13 @@ mod tests {
     #[test]
     fn segment_roundtrip_and_confirm() {
         let dir = SpillDir::temp().unwrap();
-        let store = SegmentStore::new(dir, false);
+        let store = SegmentStore::new(dir);
         let rs = records(5);
         let refs = store.write_segment(&rs).unwrap();
         assert_eq!(store.count(), 1);
         for ((fp, epoch, enc), (ifp, r)) in rs.iter().zip(&refs) {
             assert_eq!(fp, ifp);
             assert_eq!(*epoch, r.epoch);
-            assert_eq!(r.raw, r.len, "uncompressed: raw == stored");
             assert!(store.confirm(r, enc).unwrap());
             let mut other = enc.to_vec();
             other[0] ^= 0xff;
@@ -372,7 +361,7 @@ mod tests {
     #[test]
     fn compaction_merges_and_remaps_without_deleting_victim_files() {
         let dir = SpillDir::temp().unwrap();
-        let store = SegmentStore::new(dir.clone(), false);
+        let store = SegmentStore::new(dir.clone());
         let rs = records(6);
         let refs_a = store.write_segment(&rs[..3]).unwrap();
         let refs_b = store.write_segment(&rs[3..]).unwrap();
@@ -405,7 +394,7 @@ mod tests {
     fn reopen_pads_retired_slots_after_compaction() {
         let dir = SpillDir::temp().unwrap();
         let (meta, rs) = {
-            let store = SegmentStore::new(dir.clone(), false);
+            let store = SegmentStore::new(dir.clone());
             let rs = records(4);
             store.write_segment(&rs[..2]).unwrap();
             store.write_segment(&rs[2..]).unwrap();
@@ -413,7 +402,7 @@ mod tests {
             (store.meta()[0], rs)
         };
         // A manifest written after compaction references only seg-2.
-        let store = SegmentStore::new(dir, false);
+        let store = SegmentStore::new(dir);
         let refs = store.reopen(meta.id, meta.byte_len).unwrap();
         assert_eq!(refs.len(), 4);
         assert_eq!(store.count(), 1);
@@ -428,7 +417,7 @@ mod tests {
     fn reopen_rebuilds_refs_and_truncates_torn_tails() {
         let dir = SpillDir::temp().unwrap();
         let (path, meta, rs) = {
-            let store = SegmentStore::new(dir.clone(), false);
+            let store = SegmentStore::new(dir.clone());
             let rs = records(4);
             store.write_segment(&rs).unwrap();
             let meta = store.meta()[0];
@@ -441,7 +430,7 @@ mod tests {
             .unwrap()
             .write_all(&[0xab; 7])
             .unwrap();
-        let store = SegmentStore::new(dir, false);
+        let store = SegmentStore::new(dir);
         let refs = store.reopen(meta.id, meta.byte_len).unwrap();
         assert_eq!(refs.len(), rs.len());
         for ((_, _, enc), (_, r)) in rs.iter().zip(&refs) {

@@ -34,8 +34,7 @@ pub(crate) struct FpIndex {
     /// Raw canonical-encoding bytes the indexed records stand for (the
     /// logical total behind `Report::visited_bytes`).
     payload_raw: AtomicUsize,
-    /// Bytes the records actually occupy on disk (== raw when the
-    /// store is uncompressed).
+    /// Bytes the records actually occupy on disk.
     payload_stored: AtomicUsize,
 }
 
@@ -150,7 +149,7 @@ mod tests {
             seg,
             off,
             len,
-            raw: len * 3, // distinct from len, like a compressed record
+            raw: len * 3, // distinct from len, like a real tuple
             epoch,
         }
     }

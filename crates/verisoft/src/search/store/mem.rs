@@ -33,19 +33,19 @@
 //! 64-bit hash ([`crate::state::GlobalState::fingerprint`], a
 //! [`crate::hash::StableHasher`] — never SipHash, whose keys may drift
 //! between toolchains and would re-stripe the store). Buckets store each
-//! state's **canonical byte encoding**
-//! ([`crate::state::encode_state`]): one flat `Box<[u8]>` per state
-//! instead of a full `GlobalState` object graph, so membership is a
-//! `memcmp` and the per-state footprint is a few dozen to a few hundred
-//! bytes with a single allocation. Because the encoding is injective
-//! (see [`crate::state::encode`]), comparing encodings *is* comparing
-//! states — the collision-safety rule of [`crate::state`] is preserved
+//! state's **collapse-compressed tuple**
+//! ([`crate::state::GlobalState::fingerprint_and_intern`]): one flat
+//! `Box<[u8]>` per state instead of a full `GlobalState` object graph,
+//! so membership is a `memcmp` and the per-state footprint is a few
+//! dozen bytes with a single allocation. Because the tuple is injective
+//! under one interner (see [`crate::state::intern`]), comparing tuples
+//! *is* comparing states — the collision-safety rule of [`crate::state`] is preserved
 //! verbatim: two distinct states sharing a hash land in the same bucket
 //! but never alias, so a collision costs a comparison, not a missed
 //! state. The same rule extends to tier 1 (see [`super::disk`]): the
 //! fingerprint index only nominates candidates, the stored bytes decide.
 
-use super::{Rank, StateStore};
+use super::Rank;
 use crate::hash::FpBuildHasher;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -56,7 +56,7 @@ use std::sync::Mutex;
 pub const STRIPES: usize = 64;
 
 struct Entry {
-    /// The state's canonical encoding ([`crate::state::encode_state`]).
+    /// The state's compressed tuple.
     enc: Box<[u8]>,
     rank: Rank,
     /// `Some(epoch)` once committed in the round that sealed it; sealed
@@ -74,17 +74,12 @@ type Stripe = HashMap<u64, Vec<Entry>, FpBuildHasher>;
 /// admission protocol.
 pub struct VisitedStore {
     stripes: Vec<Mutex<Stripe>>,
-    /// Entries hold collapse-compressed component-ID tuples instead of
-    /// full canonical encodings (see [`crate::state::intern`]). Only the
-    /// byte accounting cares: membership is still `memcmp` either way,
-    /// because the tuple encoding is injective per interner.
-    compressed: bool,
     /// O(1) mirrors of the entry count and payload bytes, maintained on
     /// every insert/drain — `len()`/`bytes()` run per level boundary
     /// (spill checks) and must not scan every stripe.
     count: AtomicUsize,
     /// *Raw* canonical-encoding bytes the entries stand for — the
-    /// logical total `bytes()` reports (== resident when uncompressed).
+    /// logical total `bytes()` reports.
     payload: AtomicUsize,
     /// Bytes the entries actually occupy in memory.
     stored: AtomicUsize,
@@ -103,20 +98,12 @@ impl Default for VisitedStore {
 }
 
 impl VisitedStore {
-    /// A store with `stripes` lock stripes (rounded up to at least 1),
-    /// holding uncompressed canonical encodings.
+    /// A store with `stripes` lock stripes (rounded up to at least 1).
     pub fn new(stripes: usize) -> Self {
-        VisitedStore::new_with(stripes, false)
-    }
-
-    /// A store whose entries are collapse-compressed tuples when
-    /// `compressed` is set.
-    pub fn new_with(stripes: usize, compressed: bool) -> Self {
         VisitedStore {
             stripes: (0..stripes.max(1))
                 .map(|_| Mutex::new(Stripe::default()))
                 .collect(),
-            compressed,
             count: AtomicUsize::new(0),
             payload: AtomicUsize::new(0),
             stored: AtomicUsize::new(0),
@@ -126,15 +113,11 @@ impl VisitedStore {
         }
     }
 
-    /// The raw canonical-encoding length `enc` stands for (compressed
-    /// tuples carry it in their prefix; uncompressed entries *are* raw).
+    /// The raw canonical-encoding length a tuple stands for (its
+    /// leading varint).
     #[inline]
-    fn raw_of(&self, enc: &[u8]) -> usize {
-        if self.compressed {
-            crate::state::intern::raw_len_of(enc).expect("compressed tuple prefix")
-        } else {
-            enc.len()
-        }
+    fn raw_of(enc: &[u8]) -> usize {
+        crate::state::intern::raw_len_of(enc).expect("compressed tuple prefix")
     }
 
     #[inline]
@@ -165,7 +148,7 @@ impl VisitedStore {
             }
         }
         self.count.fetch_add(1, Ordering::Relaxed);
-        self.payload.fetch_add(self.raw_of(enc), Ordering::Relaxed);
+        self.payload.fetch_add(Self::raw_of(enc), Ordering::Relaxed);
         self.stored.fetch_add(enc.len(), Ordering::Relaxed);
         bucket.push(Entry {
             enc: enc.into(),
@@ -326,7 +309,7 @@ impl VisitedStore {
                         let e = bucket.swap_remove(i);
                         self.count.fetch_sub(1, Ordering::Relaxed);
                         self.payload
-                            .fetch_sub(self.raw_of(&e.enc), Ordering::Relaxed);
+                            .fetch_sub(Self::raw_of(&e.enc), Ordering::Relaxed);
                         self.stored.fetch_sub(e.enc.len(), Ordering::Relaxed);
                         out.push((*hash, epoch, e.enc));
                     } else {
@@ -367,7 +350,8 @@ impl VisitedStore {
             return;
         }
         self.count.fetch_add(1, Ordering::Relaxed);
-        self.payload.fetch_add(self.raw_of(&enc), Ordering::Relaxed);
+        self.payload
+            .fetch_add(Self::raw_of(&enc), Ordering::Relaxed);
         self.stored.fetch_add(enc.len(), Ordering::Relaxed);
         bucket.push(Entry {
             enc,
@@ -388,15 +372,14 @@ impl VisitedStore {
 
     /// Total *raw* payload bytes the entries stand for (excluding map
     /// overhead) — the numerator of the bytes-per-visited-state stat.
-    /// Deliberately the logical (uncompressed) total so the figure is
-    /// identical whether compression is on or off.
+    /// Deliberately the logical (uncompressed) total, so the figure does
+    /// not depend on the interner's ID assignment.
     pub fn bytes(&self) -> usize {
         self.payload.load(Ordering::Relaxed)
     }
 
     /// Bytes the entries actually occupy in memory — what the tiered
-    /// store's spill budget bounds (== [`VisitedStore::bytes`] when
-    /// uncompressed).
+    /// store's spill budget bounds.
     pub fn stored_bytes(&self) -> usize {
         self.stored.load(Ordering::Relaxed)
     }
@@ -420,47 +403,38 @@ impl VisitedStore {
     }
 }
 
-impl StateStore for VisitedStore {
-    fn admit(&self, hash: u64, enc: &[u8], rank: Rank) {
-        VisitedStore::admit(self, hash, enc, rank)
-    }
-
-    fn seal_if_winner(&self, hash: u64, enc: &[u8], rank: Rank, epoch: u32) -> bool {
-        VisitedStore::seal_if_winner(self, hash, enc, rank, epoch)
-    }
-
-    fn contains_sealed_before(&self, hash: u64, enc: &[u8], epoch_bound: u32) -> bool {
-        VisitedStore::contains_sealed_before(self, hash, enc, epoch_bound)
-    }
-
-    fn len(&self) -> usize {
-        VisitedStore::len(self)
-    }
-
-    fn bytes(&self) -> usize {
-        VisitedStore::bytes(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::rank;
     use super::*;
-    use crate::state::{encode_state, GlobalState, ObjState};
+    use crate::state::intern::raw_len_of;
+    use crate::state::{ComponentInterner, GlobalState, ObjState};
+    use std::sync::OnceLock;
 
-    fn state() -> Vec<u8> {
-        let prog = cfgir::compile("chan c[1]; proc p() { send(c, 1); } process p();").unwrap();
-        encode_state(&GlobalState::initial(&prog))
-    }
-
-    fn other_state() -> Vec<u8> {
+    /// The tuple of a one-channel state holding `queue`, under one
+    /// interner shared by every test (distinct states, distinct tuples).
+    fn tuple(queue: &[i64]) -> Vec<u8> {
+        static INTERNER: OnceLock<ComponentInterner> = OnceLock::new();
         let prog = cfgir::compile("chan c[1]; proc p() { send(c, 1); } process p();").unwrap();
         let mut s = GlobalState::initial(&prog);
         *s.object_mut(0) = ObjState::Chan {
-            queue: [crate::value::Value::Int(7)].into(),
+            queue: queue.iter().map(|&v| crate::value::Value::Int(v)).collect(),
             cap: Some(1),
         };
-        encode_state(&s)
+        s.fingerprint_and_intern(INTERNER.get_or_init(ComponentInterner::new))
+            .1
+    }
+
+    fn state() -> Vec<u8> {
+        tuple(&[])
+    }
+
+    fn other_state() -> Vec<u8> {
+        tuple(&[7])
+    }
+
+    fn raw(t: &[u8]) -> usize {
+        raw_len_of(t).unwrap()
     }
 
     #[test]
@@ -488,7 +462,9 @@ mod tests {
         store.admit(h, &s, rank(0, 0));
         assert!(!store.is_winner(h, &s, rank(0, 0)));
         assert_eq!(store.len(), 1);
-        assert_eq!(store.bytes(), s.len());
+        assert_eq!(store.bytes(), raw(&s), "logical total is the raw length");
+        assert_eq!(store.stored_bytes(), s.len());
+        assert_ne!(raw(&s), s.len(), "tuple and raw encoding differ");
     }
 
     #[test]
@@ -554,7 +530,7 @@ mod tests {
         assert!(store.is_winner(fake_hash, &a, rank(0, 0)));
         assert!(store.is_winner(fake_hash, &b, rank(0, 1)));
         assert_eq!(store.len(), 2);
-        assert_eq!(store.bytes(), a.len() + b.len());
+        assert_eq!(store.bytes(), raw(&a) + raw(&b));
     }
 
     #[test]
@@ -573,7 +549,7 @@ mod tests {
         assert_eq!(drained.len(), 1);
         assert_eq!((drained[0].0, drained[0].1), (ha, 1));
         assert_eq!(store.len(), 1, "candidate remains");
-        assert_eq!(store.bytes(), b.len());
+        assert_eq!((store.bytes(), store.stored_bytes()), (raw(&b), b.len()));
         // The snapshot variant leaves the store untouched.
         store.seal(hb, &b, 2);
         let snap = store.sealed_snapshot();
@@ -584,26 +560,7 @@ mod tests {
         store.insert_sealed(h, enc, ep);
         assert!(store.contains_sealed_before(h, &a, 2));
         assert_eq!(store.len(), 2);
-    }
-
-    #[test]
-    fn compressed_mode_accounts_raw_and_stored_separately() {
-        let prog = cfgir::compile("chan c[1]; proc p() { send(c, 1); } process p();").unwrap();
-        let s = GlobalState::initial(&prog);
-        let interner = crate::state::ComponentInterner::new();
-        let (h, cenc) = s.fingerprint_and_intern(&interner);
-        let raw = encode_state(&s).len();
-        assert_ne!(cenc.len(), raw, "tuple and raw encoding differ");
-        let store = VisitedStore::new_with(2, true);
-        store.admit(h, &cenc, rank(0, 0));
-        assert_eq!(store.bytes(), raw, "logical total is the raw length");
-        assert_eq!(store.stored_bytes(), cenc.len());
-        store.seal(h, &cenc, 1);
-        let drained = store.drain_sealed();
-        assert_eq!((store.bytes(), store.stored_bytes()), (0, 0));
-        let (hh, ep, enc) = drained.into_iter().next().unwrap();
-        store.insert_sealed(hh, enc, ep);
-        assert_eq!((store.bytes(), store.stored_bytes()), (raw, cenc.len()));
+        assert_eq!(store.bytes(), raw(&a) + raw(&b));
     }
 
     #[test]

@@ -28,6 +28,14 @@
 //! protocol the in-memory store exposes, so the frontier search in
 //! [`super::stateful`] is oblivious to where a sealed state resides.
 //!
+//! Every record is a collapse-compressed component-ID tuple
+//! ([`crate::state::GlobalState::fingerprint_and_intern`]) whose leading
+//! varint is the raw canonical-encoding length it stands for; the
+//! stores read it to report logical byte totals
+//! ([`TieredStore::bytes`]) next to the stored footprint
+//! ([`TieredStore::stored_bytes`]). Membership is `memcmp` on the
+//! tuples, which is state equality under one interner.
+//!
 //! ## Why spilling cannot change a report
 //!
 //! Only **sealed** entries ever move to disk. Unsealed candidates stay
@@ -66,44 +74,6 @@ pub type Rank = u64;
 pub fn rank(item: usize, succ: usize) -> Rank {
     debug_assert!(item < (1 << 32) && succ < (1 << 32));
     ((item as u64) << 32) | succ as u64
-}
-
-/// The storage protocol the frontier engines run against: concurrent
-/// rank-tagged admission, sequential epoch-tagged sealing, and the
-/// POR-proviso membership probe. Implemented by the in-memory tier
-/// ([`VisitedStore`]) and the tiered store ([`TieredStore`]) — the
-/// engine's determinism argument only uses this interface, so it holds
-/// for any implementation that keeps the protocol.
-pub trait StateStore: Sync {
-    /// Offer a candidate discovery of the state encoded as `enc` at
-    /// `rank`. Keeps the smallest rank per state; sealed entries
-    /// (whatever tier they live in) always win. Concurrency-safe: the
-    /// outcome is independent of arrival order.
-    fn admit(&self, hash: u64, enc: &[u8], rank: Rank);
-
-    /// Seal and return `true` iff `(enc, rank)` is the committed winner
-    /// of the round, stamping it with the frontier `epoch` it was
-    /// sealed in. Call from the sequential ordered commit only.
-    fn seal_if_winner(&self, hash: u64, enc: &[u8], rank: Rank, epoch: u32) -> bool;
-
-    /// Whether the state is sealed with an epoch `< epoch_bound` — the
-    /// ignoring-proviso probe. Bounding by epoch (not "any sealed")
-    /// lets a level be processed in memory-bounded chunks: entries
-    /// sealed by earlier chunks of the *same* level are invisible, so
-    /// the probe sees exactly the set a single-chunk (unbounded) run
-    /// would — the report stays byte-identical for any memory limit.
-    fn contains_sealed_before(&self, hash: u64, enc: &[u8], epoch_bound: u32) -> bool;
-
-    /// Number of states stored across all tiers (sealed or candidate).
-    fn len(&self) -> usize;
-
-    /// True when no state was ever admitted.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total payload bytes across all tiers (the encodings themselves).
-    fn bytes(&self) -> usize;
 }
 
 /// A directory used for spill segments, frontier spool files, and
@@ -177,26 +147,15 @@ pub struct TieredStore {
 }
 
 impl TieredStore {
-    /// A store holding at most ~`budget` payload bytes in memory,
+    /// A store holding at most ~`budget` stored bytes in memory,
     /// spilling sealed entries into segments under `dir`. With no
     /// `dir`, the budget is ignored and the store is purely in-memory.
     pub fn new(budget: usize, dir: Option<Arc<SpillDir>>) -> Self {
-        TieredStore::new_with(budget, dir, false)
-    }
-
-    /// Like [`TieredStore::new`], but when `compressed` is set the
-    /// entries handed to the store are collapse-compressed component-ID
-    /// tuples (see [`crate::state::intern`]): byte accounting then
-    /// splits into logical raw totals ([`StateStore::bytes`]) and the
-    /// resident footprint ([`TieredStore::stored_bytes`]), and the spill
-    /// budget bounds the latter. Membership logic is untouched — tuple
-    /// equality is state equality under a fixed interner.
-    pub fn new_with(budget: usize, dir: Option<Arc<SpillDir>>, compressed: bool) -> Self {
         TieredStore {
-            mem: VisitedStore::new_with(STRIPES, compressed),
+            mem: VisitedStore::new(STRIPES),
             budget,
             tier1: dir.map(|d| Tier1 {
-                segs: SegmentStore::new(Arc::clone(&d), compressed),
+                segs: SegmentStore::new(Arc::clone(&d)),
                 index: FpIndex::new(STRIPES),
                 prefilter: Prefilter::new(),
                 dir: d,
@@ -224,6 +183,55 @@ impl TieredStore {
         })
     }
 
+    /// Offer a candidate discovery of the state encoded as `enc` at
+    /// `rank` — the per-item reference for
+    /// [`TieredStore::insert_batch`]. Keeps the smallest rank per state;
+    /// sealed entries (whatever tier they live in) always win.
+    pub fn admit(&self, hash: u64, enc: &[u8], rank: Rank) {
+        // A state on disk is sealed by definition: the candidate loses
+        // regardless of rank, so tier 0 never re-admits it.
+        if self.on_disk(hash, enc, None) {
+            return;
+        }
+        self.mem.admit(hash, enc, rank);
+    }
+
+    /// Seal and return `true` iff `(enc, rank)` is the committed winner
+    /// of the round, stamping it with the frontier `epoch` — the
+    /// per-item reference for [`TieredStore::seal_batch`].
+    pub fn seal_if_winner(&self, hash: u64, enc: &[u8], rank: Rank, epoch: u32) -> bool {
+        // Winners are always tier-0 residents: disk-sealed states are
+        // filtered at admission, so no bucket scan on disk is needed.
+        self.mem.seal_if_winner(hash, enc, rank, epoch)
+    }
+
+    /// Whether the state is sealed with an epoch `< epoch_bound` — the
+    /// ignoring-proviso probe. Bounding by epoch (not "any sealed")
+    /// lets a level be processed in memory-bounded chunks: entries
+    /// sealed by earlier chunks of the *same* level are invisible, so
+    /// the probe sees exactly the set a single-chunk (unbounded) run
+    /// would — the report stays byte-identical for any memory limit.
+    pub fn contains_sealed_before(&self, hash: u64, enc: &[u8], epoch_bound: u32) -> bool {
+        self.mem.contains_sealed_before(hash, enc, epoch_bound)
+            || self.on_disk(hash, enc, Some(epoch_bound))
+    }
+
+    /// Number of states stored across all tiers (sealed or candidate).
+    pub fn len(&self) -> usize {
+        self.mem.len() + self.tier1.as_ref().map_or(0, |t| t.index.len())
+    }
+
+    /// True when no state was ever admitted.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Raw canonical-encoding bytes the stored states stand for, across
+    /// all tiers — the logical total behind `Report::visited_bytes`.
+    pub fn bytes(&self) -> usize {
+        self.mem.bytes() + self.tier1.as_ref().map_or(0, |t| t.index.bytes())
+    }
+
     /// Seal the state unconditionally (the initial state's admission).
     pub fn seal(&self, hash: u64, enc: &[u8], epoch: u32) {
         self.mem.seal(hash, enc, epoch);
@@ -232,9 +240,8 @@ impl TieredStore {
     /// Level-boundary maintenance: record the tier-0 peak and, when the
     /// in-memory footprint exceeds the budget, drain every sealed entry
     /// into a fresh tier-1 segment. The budget bounds *resident* bytes
-    /// ([`VisitedStore::stored_bytes`]) — compression therefore defers
-    /// spilling, which is report-invisible by the same argument that
-    /// makes the budget itself report-invisible.
+    /// ([`VisitedStore::stored_bytes`]), not the raw bytes the tuples
+    /// stand for.
     pub fn end_of_level(&self) -> io::Result<()> {
         self.peak_mem
             .fetch_max(self.mem.stored_bytes(), Ordering::Relaxed);
@@ -322,15 +329,14 @@ impl TieredStore {
         self.tier1.as_ref().map_or(0, |t| t.segs.count())
     }
 
-    /// Bytes the store actually holds across tiers — equal to
-    /// [`StateStore::bytes`] when uncompressed, the compressed footprint
-    /// otherwise (the numerator of the `--stats` dedup ratio).
+    /// Bytes the store actually holds across tiers — the compressed
+    /// footprint (the numerator of the `--stats` dedup ratio).
     pub fn stored_bytes(&self) -> usize {
         self.mem.stored_bytes() + self.tier1.as_ref().map_or(0, |t| t.index.stored_bytes())
     }
 
-    /// Batch [`StateStore::admit`] over one worker batch's successors.
-    /// Disk-resident states are filtered exactly like scalar `admit`
+    /// Batch [`TieredStore::admit`] over one chunk's successors.
+    /// Disk-resident states are filtered exactly like per-item `admit`
     /// (a spilled state is sealed by definition), but the batch shape
     /// pays off twice: the prefilter dismisses most items without an
     /// index lookup, and the few disk confirms that remain are read in
@@ -338,7 +344,7 @@ impl TieredStore {
     /// of a random walk. The survivors go through
     /// [`VisitedStore::insert_batch`], which groups them by stripe so
     /// each stripe lock is taken once per run instead of once per
-    /// successor. Result-equivalent to scalar admission in any order
+    /// successor. Result-equivalent to per-item admission in any order
     /// because admission keeps the *minimum* rank per state.
     pub fn insert_batch(&self, items: &mut Vec<(u64, Rank, &[u8])>) {
         if let Some(t1) = &self.tier1 {
@@ -380,7 +386,7 @@ impl TieredStore {
         self.mem.insert_batch(items);
     }
 
-    /// Batch [`StateStore::seal_if_winner`] over one chunk's commit
+    /// Batch [`TieredStore::seal_if_winner`] over one chunk's commit
     /// probes, preserving commit order per stripe. Winners are always
     /// tier-0 residents (disk-sealed states are filtered at admission),
     /// so this delegates to [`VisitedStore::seal_batch`].
@@ -453,45 +459,18 @@ impl TieredStore {
 /// checkpoint's write amplification for no handle savings.
 pub(crate) const COMPACT_MAX_BYTES: u64 = 1 << 20;
 
-impl StateStore for TieredStore {
-    fn admit(&self, hash: u64, enc: &[u8], rank: Rank) {
-        // A state on disk is sealed by definition: the candidate loses
-        // regardless of rank, so tier 0 never re-admits it.
-        if self.on_disk(hash, enc, None) {
-            return;
-        }
-        self.mem.admit(hash, enc, rank);
-    }
-
-    fn seal_if_winner(&self, hash: u64, enc: &[u8], rank: Rank, epoch: u32) -> bool {
-        // Winners are always tier-0 residents: disk-sealed states are
-        // filtered at admission, so no bucket scan on disk is needed.
-        self.mem.seal_if_winner(hash, enc, rank, epoch)
-    }
-
-    fn contains_sealed_before(&self, hash: u64, enc: &[u8], epoch_bound: u32) -> bool {
-        self.mem.contains_sealed_before(hash, enc, epoch_bound)
-            || self.on_disk(hash, enc, Some(epoch_bound))
-    }
-
-    fn len(&self) -> usize {
-        self.mem.len() + self.tier1.as_ref().map_or(0, |t| t.index.len())
-    }
-
-    fn bytes(&self) -> usize {
-        self.mem.bytes() + self.tier1.as_ref().map_or(0, |t| t.index.bytes())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::{encode_state, GlobalState};
+    use crate::state::intern::raw_len_of;
+    use crate::state::{ComponentInterner, GlobalState};
 
+    /// `n` distinct states (distinct channel contents) as the
+    /// `(fingerprint, tuple)` keys the engines store.
     fn states(n: usize) -> Vec<(u64, Vec<u8>)> {
-        // Distinct encodings via distinct channel contents.
         let prog = cfgir::compile("chan c[9]; proc p() { send(c, 1); } process p();").unwrap();
         let base = GlobalState::initial(&prog);
+        let interner = ComponentInterner::new();
         (0..n)
             .map(|i| {
                 let mut s = base.clone();
@@ -501,14 +480,13 @@ mod tests {
                         .collect(),
                     cap: Some(9),
                 };
-                let enc = encode_state(&s);
-                (crate::hash::stable_hash_bytes(&enc), enc)
+                s.fingerprint_and_intern(&interner)
             })
             .collect()
     }
 
     #[test]
-    fn tiered_batches_filter_disk_residents_like_scalar_admission() {
+    fn tiered_batches_filter_disk_residents_like_per_item_admission() {
         let dir = SpillDir::temp().unwrap();
         let store = TieredStore::new(0, Some(dir));
         let ss = states(8);
@@ -551,16 +529,20 @@ mod tests {
             store.admit(*h, e, rank(i, 0));
             assert!(store.seal_if_winner(*h, e, rank(i, 0), 1));
         }
-        let total_bytes: usize = ss.iter().map(|(_, e)| e.len()).sum();
+        let raw_total: usize = ss.iter().map(|(_, e)| raw_len_of(e).unwrap()).sum();
+        let stored_total: usize = ss.iter().map(|(_, e)| e.len()).sum();
+        assert!(stored_total < raw_total, "tuples are smaller than raw");
         assert_eq!(store.len(), 20);
-        assert_eq!(store.bytes(), total_bytes);
+        assert_eq!(store.bytes(), raw_total);
+        assert_eq!(store.stored_bytes(), stored_total);
         store.end_of_level().unwrap();
         assert_eq!(store.mem_bytes(), 0, "all sealed entries spilled");
         assert_eq!(store.segment_count(), 1);
         assert_eq!(store.spilled_entries(), 20);
-        // Logical totals are unchanged by the spill...
+        // Logical and stored totals are unchanged by the spill...
         assert_eq!(store.len(), 20);
-        assert_eq!(store.bytes(), total_bytes);
+        assert_eq!(store.bytes(), raw_total);
+        assert_eq!(store.stored_bytes(), stored_total);
         // ...and so are membership answers.
         for (h, e) in &ss {
             assert!(store.contains_sealed_before(*h, e, 2));
@@ -609,46 +591,6 @@ mod tests {
         store.admit(fake, b, rank(1, 0));
         assert!(store.seal_if_winner(fake, b, rank(1, 0), 2));
         assert_eq!(store.len(), 2);
-    }
-
-    #[test]
-    fn compressed_store_spills_tuples_and_keeps_raw_totals() {
-        let prog = cfgir::compile("chan c[9]; proc p() { send(c, 1); } process p();").unwrap();
-        let base = GlobalState::initial(&prog);
-        let interner = crate::state::ComponentInterner::new();
-        let ss: Vec<(u64, Vec<u8>, usize)> = (0..12)
-            .map(|i| {
-                let mut s = base.clone();
-                *s.object_mut(0) = crate::state::ObjState::Chan {
-                    queue: [crate::value::Value::Int(i as i64)].into(),
-                    cap: Some(9),
-                };
-                let (h, cenc) = s.fingerprint_and_intern(&interner);
-                let raw = encode_state(&s).len();
-                (h, cenc, raw)
-            })
-            .collect();
-        let dir = SpillDir::temp().unwrap();
-        let store = TieredStore::new_with(0, Some(dir), true);
-        for (i, (h, e, _)) in ss.iter().enumerate() {
-            store.admit(*h, e, rank(i, 0));
-            assert!(store.seal_if_winner(*h, e, rank(i, 0), 1));
-        }
-        let raw_total: usize = ss.iter().map(|(_, _, r)| r).sum();
-        let stored_total: usize = ss.iter().map(|(_, e, _)| e.len()).sum();
-        assert!(stored_total < raw_total, "tuples are smaller than raw");
-        assert_eq!(store.bytes(), raw_total);
-        assert_eq!(store.stored_bytes(), stored_total);
-        store.end_of_level().unwrap();
-        assert_eq!(store.mem_bytes(), 0);
-        // Spilling changes neither total nor membership.
-        assert_eq!(store.bytes(), raw_total);
-        assert_eq!(store.stored_bytes(), stored_total);
-        for (h, e, _) in &ss {
-            assert!(store.contains_sealed_before(*h, e, 2));
-            store.admit(*h, e, rank(0, 0));
-            assert!(!store.seal_if_winner(*h, e, rank(0, 0), 2));
-        }
     }
 
     #[test]

@@ -35,8 +35,8 @@ use std::sync::Arc;
 pub trait Spoolable: Sized {
     /// Encode/decode context threaded through every spool operation —
     /// the frontier items use it to carry the run's component interner
-    /// (compressed items store ID tuples that only the interner can
-    /// expand). `()` for self-contained entries.
+    /// (they store ID tuples that only the interner can expand). `()`
+    /// for self-contained entries.
     type Cx;
     /// Append the entry's spool encoding to `out`.
     fn spool_encode(&self, cx: &Self::Cx, out: &mut Vec<u8>);

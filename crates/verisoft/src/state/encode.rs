@@ -270,8 +270,10 @@ pub const INTERN_MAGIC: [u8; 4] = *b"RITN";
 /// Version stamped into every on-disk header this crate writes. Bump on
 /// any layout change; readers reject mismatches instead of guessing.
 /// (v2: compressed ID-tuple records + the interner table side file;
-// v3: `tosses_taken` counter in the checkpointed report.)
-pub const STORE_FORMAT_VERSION: u64 = 3;
+/// v3: `tosses_taken` counter in the checkpointed report; v4: records
+/// are always ID tuples and the config digest no longer carries a
+/// compression mode.)
+pub const STORE_FORMAT_VERSION: u64 = 4;
 
 /// Append a versioned container header: 4 magic bytes + format version.
 pub fn put_header(out: &mut Vec<u8>, magic: [u8; 4]) {

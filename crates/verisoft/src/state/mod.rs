@@ -42,7 +42,6 @@ pub use intern::ComponentInterner;
 
 use crate::value::{Addr, Value};
 use cfgir::{CfgProgram, NodeId, ObjId, ProcId, VarId, VarKind};
-use encode::Encode;
 use minic::sema::ObjectKind;
 use std::collections::VecDeque;
 use std::hash::Hasher;
@@ -350,58 +349,16 @@ impl GlobalState {
         fp
     }
 
-    /// [`Self::fingerprint`] and [`encode_state`] fused into one pass:
-    /// each component is encoded exactly once into the shared buffer,
-    /// and a cold sub-hash cache is seeded from that component's span of
-    /// the buffer instead of a private re-encoding. The stateful
-    /// explorer needs both values for every successor, so the fusion
-    /// halves the encoding work on the components a transition changed.
-    pub fn fingerprint_and_encode(&self) -> (u64, Vec<u8>) {
-        let mut out = Vec::with_capacity(64 * self.procs.len() + 16 * self.objects.len());
-        let fp = self.fingerprint_and_encode_into(&mut out);
-        (fp, out)
-    }
-
-    /// [`Self::fingerprint_and_encode`] appending to a caller-supplied
-    /// buffer (the key-arena entry point: one shared allocation holds
-    /// every successor key of an expansion). Returns the fingerprint;
-    /// the encoding is `out[start..]` for the caller's recorded start.
-    pub fn fingerprint_and_encode_into(&self, out: &mut Vec<u8>) -> u64 {
-        let base = out.len();
-        let mut h = crate::hash::StableHasher::new();
-        h.write_u64(self.procs.len() as u64);
-        encode::put_u64(out, self.procs.len() as u64);
-        for p in &self.procs {
-            let start = out.len();
-            p.encode(out);
-            h.write_u64(p.sub_hash_from_encoding(&out[start..]));
-        }
-        h.write_u64(self.objects.len() as u64);
-        encode::put_u64(out, self.objects.len() as u64);
-        for o in &self.objects {
-            let start = out.len();
-            o.encode(out);
-            h.write_u64(o.sub_hash_from_encoding(&out[start..]));
-        }
-        let fp = h.finish();
-        debug_assert_eq!(fp, self.fingerprint_from_scratch());
-        debug_assert_eq!(out[base..], encode_state(self));
-        fp
-    }
-
-    /// [`Self::fingerprint`] fused with *compression* instead of
-    /// encoding: the returned bytes are the state's **compressed
-    /// tuple** — `[raw encoded len][nprocs][proc IDs…][nobjs][obj
-    /// IDs…]` with each component's dense `u32` ID (little-endian)
-    /// standing in for its encoding — under `interner`. The
-    /// fingerprint is bit-identical to [`Self::fingerprint`] /
-    /// [`Self::fingerprint_and_encode`], so stripe, shard, and rank
-    /// assignment cannot depend on whether compression is on. Each
-    /// component with a cold memo is encoded exactly once (seeding the
-    /// sub-hash cache from those bytes, as the fused encode does); a
-    /// warm memo answers from two cached words without touching bytes
-    /// at all, which is where the states/sec win over
-    /// [`Self::fingerprint_and_encode`] comes from.
+    /// [`Self::fingerprint`] fused with *compression*: the returned
+    /// bytes are the state's **compressed tuple** — `[raw encoded
+    /// len][nprocs][proc IDs…][nobjs][obj IDs…]` with each component's
+    /// dense `u32` ID (varint) standing in for its encoding — under
+    /// `interner`; this is the key every stateful store holds. The
+    /// fingerprint is bit-identical to [`Self::fingerprint`], so
+    /// stripe, shard, and rank assignment never depend on interner IDs.
+    /// Each component with a cold memo is encoded exactly once (seeding
+    /// the sub-hash cache from those bytes); a warm memo answers from
+    /// two cached words without touching bytes at all.
     pub fn fingerprint_and_intern(&self, interner: &ComponentInterner) -> (u64, Vec<u8>) {
         let mut out = Vec::with_capacity(16 + 4 * (self.procs.len() + self.objects.len()));
         let fp = self.fingerprint_and_intern_into(interner, &mut out);
@@ -713,30 +670,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_fingerprint_and_encode_matches_the_separate_calls() {
-        let prog = compile(
-            "chan c[2]; sem s = 1; int g = 3; \
-             proc m() { send(c, g); sem_wait(s); g = g + 1; sem_signal(s); } \
-             process m(); process m();",
-        )
-        .unwrap();
-        let mut s = GlobalState::initial(&prog);
-        // Cold caches: the fused pass seeds them.
-        let (fp, enc) = s.fingerprint_and_encode();
-        assert_eq!(fp, s.fingerprint());
-        assert_eq!(enc, encode_state(&s));
-        // After a mutation (one warm cache dropped, the rest kept).
-        *s.object_mut(1) = ObjState::Sem(5);
-        let (fp2, enc2) = s.fingerprint_and_encode();
-        assert_ne!(fp2, fp);
-        assert_eq!(fp2, s.fingerprint());
-        assert_eq!(enc2, encode_state(&s));
-        // Warm caches: same answers again.
-        assert_eq!(s.fingerprint_and_encode(), (fp2, enc2));
-    }
-
-    #[test]
-    fn fused_fingerprint_and_intern_matches_the_uncompressed_pass() {
+    fn fused_fingerprint_and_intern_matches_the_separate_calls() {
         let prog = compile(
             "chan c[2]; sem s = 1; int g = 3; \
              proc m() { send(c, g); sem_wait(s); g = g + 1; sem_signal(s); } \
@@ -745,8 +679,8 @@ mod tests {
         .unwrap();
         let i = ComponentInterner::new();
         let mut s = GlobalState::initial(&prog);
-        // Cold memos: same fingerprint as the uncompressed pass, and a
-        // tuple the interner decodes back to the state.
+        // Cold memos: the plain fingerprint, and a tuple the interner
+        // decodes back to the state.
         let (fp, cenc) = s.fingerprint_and_intern(&i);
         assert_eq!(fp, s.fingerprint());
         assert_eq!(i.decode_compressed(&cenc).as_ref(), Some(&s));

@@ -18,11 +18,98 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        Err(CliError::Usage(e)) => {
+            eprintln!("error: {e}");
+            ExitCode::from(2)
+        }
+        Err(CliError::Failed(e)) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }
+}
+
+/// Why a command failed: a malformed command line (exit 2) or anything
+/// else (exit 1).
+enum CliError {
+    Usage(String),
+    Failed(String),
+}
+
+impl From<String> for CliError {
+    fn from(e: String) -> Self {
+        CliError::Failed(e)
+    }
+}
+
+impl From<&str> for CliError {
+    fn from(e: &str) -> Self {
+        CliError::Failed(e.to_string())
+    }
+}
+
+/// A subcommand's `--` flags, checked against its vocabulary by
+/// [`parse_flags`]: each given flag with its value (`None` for
+/// switches).
+struct Flags<'a>(Vec<(&'a str, Option<&'a str>)>);
+
+impl<'a> Flags<'a> {
+    /// Whether the switch `name` was given.
+    fn has(&self, name: &str) -> bool {
+        self.0.iter().any(|&(f, _)| f == name)
+    }
+
+    /// The value of the first `name` option given.
+    fn value(&self, name: &str) -> Option<&'a str> {
+        self.0
+            .iter()
+            .find(|&&(f, _)| f == name)
+            .and_then(|&(_, v)| v)
+    }
+
+    /// [`Flags::value`] parsed as a `T`.
+    fn parse<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.value(name)
+            .map(|v| v.parse::<T>().map_err(|e| format!("{name}: {e}")))
+            .transpose()
+    }
+}
+
+/// Read the `--` flags of `reclose <cmd> args…`: `switches` take no
+/// value, `valued` options take the next argument (both lists are
+/// whitespace-separated flag names). An unknown flag, or an option whose
+/// value is missing (it is the last argument, or the next one is another
+/// `--` flag), is a usage error. Arguments that are not flags are left
+/// to the caller.
+fn parse_flags<'a>(
+    cmd: &str,
+    args: &'a [String],
+    switches: &str,
+    valued: &str,
+) -> Result<Flags<'a>, CliError> {
+    let mut given = Vec::new();
+    let mut it = args.iter().map(String::as_str);
+    while let Some(a) = it.next() {
+        if !a.starts_with("--") {
+            continue;
+        }
+        if switches.split_whitespace().any(|f| f == a) {
+            given.push((a, None));
+        } else if valued.split_whitespace().any(|f| f == a) {
+            match it.next() {
+                Some(v) if !v.starts_with("--") => given.push((a, Some(v))),
+                _ => return Err(CliError::Usage(format!("{a} needs a value"))),
+            }
+        } else {
+            return Err(CliError::Usage(format!(
+                "unknown flag `{a}` for `reclose {cmd}` (see `reclose --help`)"
+            )));
+        }
+    }
+    Ok(Flags(given))
 }
 
 fn usage() -> String {
@@ -79,16 +166,6 @@ fn usage() -> String {
                                   reduction. The stateful engines use\n\
                                   persistent sets with a cycle proviso; the\n\
                                   stateless engines add sleep sets\n\
-         --no-compress            stateful engines: store full canonical\n\
-                                  encodings instead of collapse-compressed\n\
-                                  component-ID tuples (escape hatch; the\n\
-                                  report is byte-identical either way, but a\n\
-                                  checkpoint cannot be resumed across modes)\n\
-         --scalar-commit          frontier engines: force the scalar reference\n\
-                                  commit path (per-successor store calls, no\n\
-                                  batching or chunk pipelining); the report is\n\
-                                  byte-identical either way — this exists so\n\
-                                  you can check that claim\n\
          --stats                  print states/sec, toss choices taken,\n\
                                   visited-store bytes and\n\
                                   state count, the compression ratio and\n\
@@ -97,7 +174,7 @@ fn usage() -> String {
                                   engines) peak resident store bytes, spilled\n\
                                   entries, segment and checkpoint counts,\n\
                                   batched-commit and Bloom-prefilter savings,\n\
-                                  and the pipeline overlap ratio\n\
+                                  and the number of chunks committed\n\
          --explain                replay and pretty-print each violation\n\
      run <file> <schedule...>     replay a schedule and print its events;\n\
                                   a schedule is decisions like P0 P1[2,0] P0\n\
@@ -124,24 +201,24 @@ fn usage() -> String {
         .to_string()
 }
 
-fn run(args: &[String]) -> Result<(), String> {
+fn run(args: &[String]) -> Result<(), CliError> {
     let Some(cmd) = args.first() else {
-        return Err(usage());
+        return Err(usage().into());
     };
     match cmd.as_str() {
-        "check" => check(args.get(1).ok_or_else(usage)?),
-        "close" => close_cmd(&args[1..]),
+        "check" => Ok(check(args.get(1).ok_or_else(usage)?)?),
+        "close" => Ok(close_cmd(&args[1..])?),
         "explore" => explore_cmd(&args[1..]),
-        "run" => run_schedule(&args[1..]),
-        "graph" => graph(args.get(1).ok_or_else(usage)?),
-        "envgen" => envgen_cmd(args.get(1).ok_or_else(usage)?),
+        "run" => Ok(run_schedule(&args[1..])?),
+        "graph" => Ok(graph(args.get(1).ok_or_else(usage)?)?),
+        "envgen" => Ok(envgen_cmd(args.get(1).ok_or_else(usage)?)?),
         "switchgen" => switchgen(&args[1..]),
         "fuzz" => fuzz_cmd(&args[1..]),
         "--help" | "-h" | "help" => {
             println!("{}", usage());
             Ok(())
         }
-        other => Err(format!("unknown command `{other}`\n{}", usage())),
+        other => Err(format!("unknown command `{other}`\n{}", usage()).into()),
     }
 }
 
@@ -292,20 +369,19 @@ fn close_cmd(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn explore_cmd(args: &[String]) -> Result<(), String> {
+fn explore_cmd(args: &[String]) -> Result<(), CliError> {
     let path = args.first().ok_or_else(usage)?;
+    let flags = parse_flags(
+        "explore",
+        &args[1..],
+        "--enumerate --close --refine-cex --classify-violations --all --stateful --bfs \
+         --por --no-por --coverage --stats --explain",
+        "--depth --max-transitions --jobs --mem-limit --checkpoint-dir --checkpoint-every \
+         --resume --abort-after-checkpoints",
+    )?;
     let (_, mut prog) = load(path)?;
-    let flag = |name: &str| args.iter().any(|a| a == name);
-    let opt_val = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-    };
-    let opt = |name: &str| {
-        opt_val(name)
-            .map(|v| v.parse::<usize>().map_err(|e| format!("{name}: {e}")))
-            .transpose()
-    };
+    let flag = |name: &str| flags.has(name);
+    let opt = |name: &str| flags.parse::<usize>(name);
     // The pre-close program is kept around so `--classify-violations`
     // can replay closed-program traces against the open semantics.
     let mut open_prog = None;
@@ -328,9 +404,9 @@ fn explore_cmd(args: &[String]) -> Result<(), String> {
                 .into(),
         );
     }
-    let jobs_arg = opt_val("--jobs").map(|v| parse_jobs(v)).transpose()?;
-    let resume_dir = opt_val("--resume").cloned();
-    let checkpoint_dir = opt_val("--checkpoint-dir").cloned().or(resume_dir.clone());
+    let jobs_arg = flags.value("--jobs").map(parse_jobs).transpose()?;
+    let resume_dir = flags.value("--resume");
+    let checkpoint_dir = flags.value("--checkpoint-dir").or(resume_dir);
     let config = Config {
         env_mode: if flag("--enumerate") {
             EnvMode::Enumerate
@@ -358,16 +434,15 @@ fn explore_cmd(args: &[String]) -> Result<(), String> {
         max_depth: opt("--depth")?.unwrap_or(2_000),
         max_transitions: opt("--max-transitions")?.unwrap_or(5_000_000),
         track_coverage: flag("--coverage"),
-        mem_limit: opt_val("--mem-limit")
-            .map(|v| parse_bytes(v))
+        mem_limit: flags
+            .value("--mem-limit")
+            .map(parse_bytes)
             .transpose()?
             .unwrap_or(usize::MAX),
         checkpoint_dir: checkpoint_dir.map(std::path::PathBuf::from),
         checkpoint_every: opt("--checkpoint-every")?.unwrap_or(32),
         resume: resume_dir.is_some(),
         abort_after_checkpoints: opt("--abort-after-checkpoints")?,
-        no_compress: flag("--no-compress"),
-        scalar_commit: flag("--scalar-commit"),
         ..Config::default()
     };
     if prog.has_env_reads() && config.env_mode == EnvMode::Closed {
@@ -391,12 +466,12 @@ fn explore_cmd(args: &[String]) -> Result<(), String> {
                 .into(),
         );
     }
-    if config.resume {
-        verisoft::search::validate_checkpoint(
-            std::path::Path::new(config.checkpoint_dir.as_ref().unwrap()),
-            &prog,
-            &config,
-        )?;
+    if let Some(dir) = &config.checkpoint_dir {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create checkpoint directory {}: {e}", dir.display()))?;
+        if config.resume {
+            verisoft::search::validate_checkpoint(dir, &prog, &config)?;
+        }
     }
     let started = std::time::Instant::now();
     let report = explore(&prog, &config);
@@ -481,13 +556,7 @@ fn explore_cmd(args: &[String]) -> Result<(), String> {
             );
         }
         if report.pipeline_chunks > 0 {
-            println!(
-                "stats: pipeline: {}/{} chunk(s) overlapped with the next \
-                 chunk's expansion ({:.1}%)",
-                report.pipeline_overlapped_chunks,
-                report.pipeline_chunks,
-                100.0 * report.pipeline_overlapped_chunks as f64 / report.pipeline_chunks as f64
-            );
+            println!("stats: chunks: {} committed", report.pipeline_chunks);
         }
     }
     if let Some(cov) = &report.coverage {
@@ -521,7 +590,7 @@ fn explore_cmd(args: &[String]) -> Result<(), String> {
     if report.clean() {
         Ok(())
     } else {
-        Err(format!("{} violation(s) found", report.violations.len()))
+        Err(format!("{} violation(s) found", report.violations.len()).into())
     }
 }
 
@@ -616,27 +685,23 @@ fn envgen_cmd(path: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn fuzz_cmd(args: &[String]) -> Result<(), String> {
-    let opt_val = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-    };
-    let num = |name: &str| {
-        opt_val(name)
-            .map(|v| v.parse::<u64>().map_err(|e| format!("{name}: {e}")))
-            .transpose()
-    };
+fn fuzz_cmd(args: &[String]) -> Result<(), CliError> {
+    let flags = parse_flags(
+        "fuzz",
+        args,
+        "--no-minimize",
+        "--seeds --seed-start --budget --out",
+    )?;
     let opts = switchsim::corpus::FuzzOptions {
-        seed_start: num("--seed-start")?.unwrap_or(0),
-        seeds: num("--seeds")?.unwrap_or(200),
-        budget: num("--budget")?.map(std::time::Duration::from_secs),
-        minimize: !args.iter().any(|a| a == "--no-minimize"),
+        seed_start: flags.parse("--seed-start")?.unwrap_or(0),
+        seeds: flags.parse("--seeds")?.unwrap_or(200),
+        budget: flags.parse("--budget")?.map(std::time::Duration::from_secs),
+        minimize: !flags.has("--no-minimize"),
         limits: switchsim::corpus::OracleLimits::default(),
     };
     let summary = switchsim::corpus::fuzz(&opts);
     println!("{summary}");
-    let out_dir = opt_val("--out").map(std::path::PathBuf::from);
+    let out_dir = flags.value("--out").map(std::path::PathBuf::from);
     if let Some(dir) = &out_dir {
         if !summary.divergences.is_empty() {
             std::fs::create_dir_all(dir).map_err(|e| format!("--out {}: {e}", dir.display()))?;
@@ -666,27 +731,26 @@ fn fuzz_cmd(args: &[String]) -> Result<(), String> {
             summary.divergences.len(),
             summary.panics,
             summary.compile_failures
-        ))
+        )
+        .into())
     }
 }
 
-fn switchgen(args: &[String]) -> Result<(), String> {
-    let opt = |name: &str, default: usize| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .map(|v| v.parse::<usize>().map_err(|e| format!("{name}: {e}")))
-            .transpose()
-            .map(|v| v.unwrap_or(default))
-    };
+fn switchgen(args: &[String]) -> Result<(), CliError> {
+    let flags = parse_flags(
+        "switchgen",
+        args,
+        "--seed-deadlock --seed-assert --stub --voicemail",
+        "--lines --trunks --events",
+    )?;
     let cfg = switchsim::SwitchConfig {
-        lines: opt("--lines", 2)?,
-        trunks: opt("--trunks", 1)? as i64,
-        events_per_line: opt("--events", 2)? as i64,
-        seed_deadlock: args.iter().any(|a| a == "--seed-deadlock"),
-        seed_assert: args.iter().any(|a| a == "--seed-assert"),
-        manual_stub_line0: args.iter().any(|a| a == "--stub"),
-        with_voicemail: args.iter().any(|a| a == "--voicemail"),
+        lines: flags.parse("--lines")?.unwrap_or(2),
+        trunks: flags.parse::<usize>("--trunks")?.unwrap_or(1) as i64,
+        events_per_line: flags.parse::<usize>("--events")?.unwrap_or(2) as i64,
+        seed_deadlock: flags.has("--seed-deadlock"),
+        seed_assert: flags.has("--seed-assert"),
+        manual_stub_line0: flags.has("--stub"),
+        with_voicemail: flags.has("--voicemail"),
     };
     print!("{}", switchsim::generate(&cfg));
     Ok(())

@@ -1,10 +1,11 @@
-//! Differential oracle for the batched, pipelined commit path: the
-//! frontier engines' default path (batched store admission, batched
-//! winner seals, chunk pipelining) must produce reports byte-identical
-//! to the scalar reference path ([`Config::scalar_commit`]) for every
-//! engine, worker count, memory budget, and compression mode — the
-//! batched path is an optimization of the commit *mechanics*, never of
-//! the result.
+//! Differential oracle for the frontier engine's batched commit
+//! (batched store admission and winner seals over the tiered store):
+//! for every worker count and memory budget it must explore exactly the
+//! states the sequential explicit-state DFS ([`Engine::Stateful`])
+//! explores. The DFS is an independent reference — its visited set is a
+//! private `HashMap`, and it shares no store, spool, or commit code with
+//! the frontier engine. The frontier reports must also be byte-identical
+//! to each other.
 
 use reclose::prelude::*;
 use std::process::Command;
@@ -42,8 +43,7 @@ const RACY_SRC: &str = r#"
 "#;
 
 /// A two-process cyclic wait: both block on their first receive, so the
-/// very first level dead-ends — exercises the deadlock branch and the
-/// max-violations stop cut mid-chunk.
+/// very first level dead-ends — exercises the deadlock branch.
 const DEADLOCK_SRC: &str = r#"
     chan c1[1];
     chan c2[1];
@@ -59,35 +59,49 @@ const DEADLOCK_SRC: &str = r#"
     process r();
 "#;
 
-/// The deterministic surface of a report: everything except the
-/// operational counters (batch sizes, prefilter hit rates, pipeline
-/// overlap, peak bytes), which legitimately differ between the scalar
-/// and batched mechanics.
-fn surface(r: &Report) -> (String, usize, usize, usize, usize, usize, usize) {
-    (
-        r.to_string(),
-        r.visited_bytes,
-        r.visited_states,
-        r.shared_components,
-        r.total_components,
-        r.por_skipped_procs,
-        r.por_proviso_fallbacks,
-    )
+/// The `(kind, process)` of every violation, sorted: the DFS reaches
+/// violations in a different order and along different paths than the
+/// breadth-first frontier, but with POR off and no violation cap both
+/// record one per violating transition of every reachable state.
+fn violation_multiset(r: &Report) -> Vec<(String, Option<usize>)> {
+    let mut v: Vec<_> = r
+        .violations
+        .iter()
+        .map(|v| (v.kind.to_string(), v.process))
+        .collect();
+    v.sort();
+    v
 }
 
 #[test]
-fn batched_commit_path_matches_the_scalar_reference() {
+fn frontier_engine_matches_the_stateful_dfs_reference() {
     let models = [
-        ("workers", workers_src(), false),
-        ("racy", RACY_SRC.to_string(), true),
-        ("deadlock", DEADLOCK_SRC.to_string(), true),
+        ("workers", workers_src()),
+        ("racy", RACY_SRC.to_string()),
+        ("deadlock", DEADLOCK_SRC.to_string()),
     ];
-    for (name, src, all) in &models {
+    for (name, src) in &models {
         let prog = compile(src).unwrap();
+        let exhaustive = Config {
+            por: false,
+            max_violations: usize::MAX,
+            ..Config::default()
+        };
+        let reference = explore(
+            &prog,
+            &Config {
+                engine: Engine::Stateful,
+                ..exhaustive.clone()
+            },
+        );
+        assert!(!reference.truncated, "{name}: the reference completes");
+        let mut first: Option<String> = None;
         for jobs in [1usize, 2, 8] {
             for mem_limit in [usize::MAX, 256] {
-                for no_compress in [false, true] {
-                    let base = Config {
+                let tag = format!("{name} jobs={jobs} mem_limit={mem_limit}");
+                let r = explore(
+                    &prog,
+                    &Config {
                         engine: if jobs > 1 {
                             Engine::StatefulParallel
                         } else {
@@ -95,25 +109,28 @@ fn batched_commit_path_matches_the_scalar_reference() {
                         },
                         jobs,
                         mem_limit,
-                        no_compress,
-                        max_violations: if *all { usize::MAX } else { 1 },
-                        ..Config::default()
-                    };
-                    let scalar = explore(
-                        &prog,
-                        &Config {
-                            scalar_commit: true,
-                            ..base.clone()
-                        },
-                    );
-                    let batched = explore(&prog, &base);
-                    assert_eq!(
-                        surface(&scalar),
-                        surface(&batched),
-                        "{name} jobs={jobs} mem_limit={mem_limit} no_compress={no_compress}"
-                    );
-                    // The batched run actually took the batched path.
-                    assert!(batched.store_batch_ops > 0, "{name}: no batches issued");
+                        ..exhaustive.clone()
+                    },
+                );
+                assert_eq!(
+                    (r.states, r.visited_states, r.visited_bytes),
+                    (
+                        reference.states,
+                        reference.visited_states,
+                        reference.visited_bytes
+                    ),
+                    "{tag}: explored state set differs from the DFS reference"
+                );
+                assert_eq!(
+                    violation_multiset(&r),
+                    violation_multiset(&reference),
+                    "{tag}: violations differ from the DFS reference"
+                );
+                assert!(r.store_batch_ops > 0, "{tag}: no batches issued");
+                let s = r.to_string();
+                match &first {
+                    None => first = Some(s),
+                    Some(f) => assert_eq!(f, &s, "{tag}: report not byte-identical"),
                 }
             }
         }
@@ -130,37 +147,33 @@ fn batched_commit_path_matches_the_scalar_reference() {
 }
 
 #[test]
-fn forced_pipelining_matches_the_scalar_reference_end_to_end() {
-    // The container running the tests may expose a single hardware
-    // thread, which disables pipelining by default — force it through
-    // the environment override, in a subprocess so the variable cannot
-    // leak into concurrently running tests. The whole CLI output
-    // (report included) must stay byte-identical.
+fn cli_reports_are_byte_identical_across_jobs_and_mem_limit() {
+    // The whole CLI output (report included) and the exit status must
+    // not depend on the worker count or on spilling.
     let dir = std::env::temp_dir().join(format!("reclose-oracle-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let model = dir.join("racy.mc");
     std::fs::write(&model, RACY_SRC).unwrap();
     let model = model.to_str().unwrap();
-    for extra in [&[][..], &["--mem-limit", "256"][..], &["--no-compress"][..]] {
-        let mut scalar_args = vec!["explore", model, "--stateful", "--jobs", "4", "--all"];
-        scalar_args.extend_from_slice(extra);
-        let piped_args = scalar_args.clone();
-        scalar_args.push("--scalar-commit");
-        let scalar = Command::new(env!("CARGO_BIN_EXE_reclose"))
-            .args(&scalar_args)
-            .output()
-            .expect("binary runs");
-        let piped = Command::new(env!("CARGO_BIN_EXE_reclose"))
-            .args(&piped_args)
-            .env("RECLOSE_PIPELINE", "1")
-            .output()
-            .expect("binary runs");
-        assert_eq!(
-            String::from_utf8_lossy(&scalar.stdout),
-            String::from_utf8_lossy(&piped.stdout),
-            "extra={extra:?}"
-        );
-        assert_eq!(scalar.status.code(), piped.status.code());
+    let mut first: Option<(String, Option<i32>)> = None;
+    for jobs in ["1", "4"] {
+        for extra in [&[][..], &["--mem-limit", "256"][..]] {
+            let mut args = vec!["explore", model, "--stateful", "--jobs", jobs, "--all"];
+            args.extend_from_slice(extra);
+            let out = Command::new(env!("CARGO_BIN_EXE_reclose"))
+                .args(&args)
+                .output()
+                .expect("binary runs");
+            let got = (
+                String::from_utf8_lossy(&out.stdout).into_owned(),
+                out.status.code(),
+            );
+            assert_eq!(got.1, Some(1), "{args:?}: the racy model violates");
+            match &first {
+                None => first = Some(got),
+                Some(f) => assert_eq!(f, &got, "{args:?}"),
+            }
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -254,3 +254,63 @@ fn run_rejects_malformed_schedules() {
         assert!(!out.status.success(), "accepted {bad}");
     }
 }
+
+const CLEAN_SRC: &str = "chan c[1]; proc m() { send(c, 1); int x = recv(c); } process m();";
+
+#[test]
+fn missing_flag_values_are_usage_errors() {
+    let src = write_temp("clean_for_flags.mc", CLEAN_SRC);
+    let src = src.to_str().unwrap();
+    // A trailing option, or one followed by another flag, has no value:
+    // `--resume` must not silently start a fresh run.
+    for (args, flag) in [
+        (&["explore", src, "--bfs", "--resume"][..], "--resume"),
+        (
+            &["explore", src, "--bfs", "--resume", "--all"][..],
+            "--resume",
+        ),
+        (&["explore", src, "--depth"][..], "--depth"),
+        (&["switchgen", "--lines"][..], "--lines"),
+        (&["fuzz", "--seeds", "--no-minimize"][..], "--seeds"),
+    ] {
+        let out = reclose(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("error: {flag} needs a value")),
+            "{err}"
+        );
+    }
+}
+
+#[test]
+fn explore_rejects_unknown_flags() {
+    let src = write_temp("clean_for_unknown.mc", CLEAN_SRC);
+    let src = src.to_str().unwrap();
+    for flag in ["--depht", "--stat", "--jobz"] {
+        let out = reclose(&["explore", src, "--stateful", flag, "3"]);
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown flag `{flag}`")), "{err}");
+        assert!(err.contains("reclose --help"), "usage hint: {err}");
+    }
+}
+
+#[test]
+fn uncreatable_checkpoint_dir_is_a_clean_error() {
+    let src = write_temp("clean_for_ckpt.mc", CLEAN_SRC);
+    let out = reclose(&[
+        "explore",
+        src.to_str().unwrap(),
+        "--bfs",
+        "--checkpoint-dir",
+        "/dev/null/x",
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("error: cannot create checkpoint directory /dev/null/x: "),
+        "{err}"
+    );
+    assert!(!err.contains("panicked"), "{err}");
+}

@@ -201,45 +201,6 @@ fn interner_table_survives_a_torn_tail() {
 }
 
 #[test]
-fn resume_rejects_a_different_compression_mode() {
-    // Compression changes the on-disk encoding of every snapshot, so
-    // it is part of the config digest: a checkpoint written with the
-    // interner cannot be resumed with `--no-compress`, and vice versa.
-    let prog = compile(&workers_src()).unwrap();
-    for killed_no_compress in [false, true] {
-        let dir = temp_dir(&format!("mode-{killed_no_compress}"));
-        let config = Config {
-            no_compress: killed_no_compress,
-            checkpoint_dir: Some(dir.clone()),
-            checkpoint_every: 1,
-            abort_after_checkpoints: Some(1),
-            ..frontier_config(1)
-        };
-        let killed = explore(&prog, &config);
-        assert!(killed.truncated);
-
-        let flipped = Config {
-            no_compress: !killed_no_compress,
-            ..config.clone()
-        };
-        let err = verisoft::validate_checkpoint(&dir, &prog, &flipped).unwrap_err();
-        assert!(err.contains("different exploration configuration"), "{err}");
-
-        // The matching mode still validates and completes.
-        let resumed = explore(
-            &prog,
-            &Config {
-                resume: true,
-                abort_after_checkpoints: None,
-                ..config
-            },
-        );
-        assert!(!resumed.truncated);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-}
-
-#[test]
 fn compaction_retires_segments_without_changing_membership() {
     // Under a tiny budget every level spills a small segment; each
     // checkpoint then compacts the accumulated shards into one merged

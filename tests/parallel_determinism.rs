@@ -331,68 +331,6 @@ fn stateful_parallel_first_violation_is_jobs_invariant() {
     }
 }
 
-#[test]
-fn compression_modes_produce_byte_identical_reports() {
-    // Collapse compression (`no_compress: false`, the default) changes
-    // only the stored representation of visited states; the report —
-    // including the *logical* visited-store byte total, which always
-    // counts raw canonical encodings — must be byte-identical with
-    // compression on and off, for every stateful engine and worker
-    // count.
-    for (name, prog) in closed_corpus() {
-        let base = Config {
-            max_depth: 300,
-            max_transitions: 2_000_000,
-            max_violations: usize::MAX,
-            ..Config::default()
-        };
-        for (engine, jobs) in [
-            (Engine::Stateful, 1),
-            (Engine::Bfs, 1),
-            (Engine::StatefulParallel, 1),
-            (Engine::StatefulParallel, 2),
-            (Engine::StatefulParallel, 8),
-        ] {
-            let run = |no_compress| {
-                explore(
-                    &prog,
-                    &Config {
-                        engine,
-                        jobs,
-                        no_compress,
-                        ..base.clone()
-                    },
-                )
-            };
-            let on = run(false);
-            let off = run(true);
-            let tag = format!("{name}: {engine:?} jobs={jobs}");
-            assert_eq!(key(&on), key(&off), "{tag}");
-            assert_eq!(
-                (on.visited_states, on.visited_bytes),
-                (off.visited_states, off.visited_bytes),
-                "{tag}: logical store totals must not see compression"
-            );
-            assert_eq!(
-                format!("{on}").into_bytes(),
-                format!("{off}").into_bytes(),
-                "{tag}: rendered bytes differ"
-            );
-            // And the modes really were different under the hood.
-            assert!(on.interner_entries > 0, "{tag}: compression was on");
-            assert!(
-                on.store_stored_bytes <= on.visited_bytes,
-                "{tag}: tuples are never larger than raw encodings here"
-            );
-            assert_eq!(off.interner_entries, 0, "{tag}: compression was off");
-            assert_eq!(
-                off.store_stored_bytes, off.visited_bytes,
-                "{tag}: uncompressed stored == raw"
-            );
-        }
-    }
-}
-
 /// A deliberately skewed decision tree: a long unary spine of sends, then
 /// a bushy crown of toss branches. With `shard_target: 1` the sharding
 /// pass hands the whole tree to one worker as a single entry, so any
